@@ -41,7 +41,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ..stages.extract import extract_batch, extract_items
+from ..stages.extract import extract_items
 from ..state.checkpoint import (
     append_metrics,
     clear_partial,
@@ -164,9 +164,6 @@ class CrawlConfig:
                                             # (in-degree, PageRank, OPIC...); the Frontier
                                             # splits it by shard_of so each shard holds only
                                             # its own hash-range's slice
-    inline_round_threshold: int = 64        # tiny rounds run driver-inline
-    round_fanout: str = "tasks"             # "tasks" (raw ray.remote per pinned block; A/B-measured
-                                            # faster at 8 and 32 CPUs) | "dataset" (fused map_batches)
     task_delay_ms: int = 0                  # fault injection (tests): round task t sleeps
                                             # (t+1)*delay, staggering completions so a mid-round
                                             # SIGTERM finds some tasks done and some not
@@ -179,8 +176,8 @@ def config_hash(cfg: CrawlConfig, seeds: list[str]) -> str:
     under the old map and record_fetched would route to non-owner
     shards (the owner then quarantines fetched URLs as not_found);
     allowed_domains / round_limit / obey_robots change the reachable
-    set and round schedule. Knobs that only change EXECUTION (fanout
-    mode, batch sizes, checkpoint_dir) stay out."""
+    set and round schedule. Knobs that only change EXECUTION (batch
+    sizes, checkpoint_dir) stay out."""
     payload = json.dumps(
         {
             "n_shards": cfg.n_shards,
@@ -237,6 +234,46 @@ def config_hash(cfg: CrawlConfig, seeds: list[str]) -> str:
         sort_keys=True,
     )
     return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
+
+
+@dataclass(frozen=True)
+class RoundPolicy:
+    """Everything a round task needs from the crawl config, resolved
+    ONCE per expand stage: shard routing (n_shards, hot-host ``salt``,
+    ip ``groups``), the candidate rules of :func:`_control_from_items`
+    and the extract clock/domain filter. ``relevance_keyword`` is the
+    EFFECTIVE term (None unless priority='relevance_desc') and
+    ``dedup_links`` is on exactly for priority='backlink_desc'."""
+
+    n_shards: int
+    max_depth: int
+    salt: dict = field(default_factory=dict)
+    groups: dict | None = None
+    follow_redirects: bool = False
+    dedup_links: bool = False
+    obey_meta_robots: bool = False
+    relevance_keyword: str | None = None
+    allowed_domains: list[str] | None = None
+    now_us: int = 0
+    task_delay_ms: int = 0
+
+    @classmethod
+    def from_config(cls, cfg: CrawlConfig, now_us: int = 0) -> "RoundPolicy":
+        return cls(
+            n_shards=cfg.n_shards,
+            max_depth=cfg.max_depth,
+            salt=cfg.hot_host_salt,
+            groups=cfg.ip_groups,
+            follow_redirects=cfg.follow_redirects,
+            dedup_links=cfg.priority == "backlink_desc",
+            obey_meta_robots=cfg.obey_meta_robots,
+            relevance_keyword=cfg.relevance_keyword
+            if cfg.priority == "relevance_desc"
+            else None,
+            allowed_domains=cfg.allowed_domains,
+            now_us=now_us,
+            task_delay_ms=cfg.task_delay_ms,
+        )
 
 
 def shard_of(
@@ -542,8 +579,8 @@ class RoundSelection:
     (url, depth). The tables live in plasma (spillable) and are only
     ever materialized (a) inside data-plane tasks, sliced to the
     buckets each task's corpus blocks can contain, or (b) driver-side
-    for the tiny-round inline path / test-scale expands, which record
-    the materialized row count in ``driver_rows``."""
+    for test-scale expands, which record the materialized row count in
+    ``driver_rows``."""
 
     total: int
     metas: list[dict]
@@ -553,7 +590,7 @@ class RoundSelection:
 
     def materialize(self) -> pa.Table:
         """Concat + (depth, url)-sort the selection on the CALLER —
-        test-scale / tiny-round paths only; counts toward driver_rows."""
+        test-scale paths only; counts toward driver_rows."""
         if not self.refs:
             return pa.table(
                 {"url": pa.array([], pa.string()), "depth": pa.array([], pa.int32())}
@@ -648,28 +685,18 @@ def _hosts_and_shards(
     return hosts, shard_per_uniq.take(idx)
 
 
-def _control_from_items(
-    items: pa.Table,
-    n_shards: int,
-    salt: dict,
-    groups: dict | None,
-    max_depth: int,
-    follow_redirects: bool = False,
-    dedup_links: bool = False,
-    obey_meta_robots: bool = False,
-    relevance_keyword: str | None = None,
-) -> pa.Table:
+def _control_from_items(items: pa.Table, policy: RoundPolicy) -> pa.Table:
     """Build the round's control rows from an extracted batch -- all
     Arrow/numpy kernels, no Python per-URL loop, and NO blocking RPC
     inside the data-plane task (a blocked map task pins a CPU slot and
     triggers replacement-worker oversubscription):
       kind 'f': fetched page URLs (-> record_fetched)
       kind 'c': depth+1 link candidates within the bound (-> enqueue)
-    With ``follow_redirects``, a page's meta-refresh target (the stored
+    With ``policy.follow_redirects``, a page's meta-refresh target (the stored
     -corpus stand-in for an HTTP 3xx Location) also becomes a 'c' row
     at the SOURCE's depth — a redirect hop costs a round but no depth,
     like Scrapy's redirect middleware re-requesting in place.
-    ``dedup_links`` collapses repeated (parent, child) edges to one
+    ``policy.dedup_links`` collapses repeated (parent, child) edges to one
     candidate row (priority='backlink_desc': citations are PAGE-level —
     Cho/Garcia-Molina/Page count citing pages, so a nav link repeating
     an in-body link must not double a citation; the links column itself
@@ -683,7 +710,7 @@ def _control_from_items(
     ('f' rows 0). Non-opic crawls emit no cash column at all: the
     candidate stream stays exactly the r3/r4 shape and cost.
 
-    With ``relevance_keyword`` (priority='relevance_desc'), each
+    With ``policy.relevance_keyword`` (priority='relevance_desc'), each
     parent's focused-crawl score — substring occurrences of the term in
     its extracted ``html_content`` (one vectorized count_substring pass)
     — rides every surviving distinct (parent, child) candidate in the
@@ -704,8 +731,8 @@ def _control_from_items(
     idx = np.repeat(np.arange(len(urls)), counts)
     dst = links.flatten()
     nd = pc.add(depths.take(pa.array(idx, pa.int64())).cast(pa.int32()), pa.scalar(1, pa.int32())).cast(pa.int32())
-    keep = pc.less_equal(nd, pa.scalar(max_depth, pa.int32()))
-    if obey_meta_robots and "meta_robots" in items.column_names:
+    keep = pc.less_equal(nd, pa.scalar(policy.max_depth, pa.int32()))
+    if policy.obey_meta_robots and "meta_robots" in items.column_names:
         # page-level <meta name=robots nofollow>: the parent's out-links
         # never become frontier candidates — drop its rows from the
         # flattened candidate fan-out (same mask the depth bound uses,
@@ -721,7 +748,7 @@ def _control_from_items(
     nd = nd.filter(keep)
     c_cash = None
     if (
-        relevance_keyword is not None
+        policy.relevance_keyword is not None
         and len(dst)
         and "html_content" in items.column_names
     ):
@@ -731,7 +758,7 @@ def _control_from_items(
         # backlink path (the score is per-parent-constant, so max ==
         # the value; min(d) == the parent's depth)
         scores = pc.count_substring(
-            pc.fill_null(_cc(items["html_content"]), ""), relevance_keyword
+            pc.fill_null(_cc(items["html_content"]), ""), policy.relevance_keyword
         ).cast(pa.int64())
         keep_np = keep.to_numpy(zero_copy_only=False)
         pidx = idx[keep_np]
@@ -750,7 +777,7 @@ def _control_from_items(
         dst = g["u"].combine_chunks()
         nd = g["d_min"].combine_chunks().cast(pa.int32())
         c_cash = g["s_max"].combine_chunks()
-    elif dedup_links and len(dst):
+    elif policy.dedup_links and len(dst):
         # one candidate row per DISTINCT (parent page, child url): an
         # Arrow hash group-by, not a per-row Python set. A parent has
         # one depth, so min(d) == that depth for every surviving row.
@@ -789,13 +816,13 @@ def _control_from_items(
         dst = pa.array(df["u"], pa.string())
         nd = pa.array(df["d"].to_numpy(), pa.int32())
         c_cash = pa.array(share, pa.int64())
-    if follow_redirects and "redirect" in items.column_names:
+    if policy.follow_redirects and "redirect" in items.column_names:
         red = _cc(items["redirect"])
         rmask = red.is_valid()
         if pc.any(rmask).as_py():
             rdst = red.filter(rmask)
             rnd = depths.filter(rmask).cast(pa.int32())
-            rkeep = pc.less_equal(rnd, pa.scalar(max_depth, pa.int32()))
+            rkeep = pc.less_equal(rnd, pa.scalar(policy.max_depth, pa.int32()))
             n_red = len(dst)
             dst = pa.concat_arrays([dst, rdst.filter(rkeep)])
             nd = pa.concat_arrays([nd, rnd.filter(rkeep)])
@@ -806,8 +833,12 @@ def _control_from_items(
                     [c_cash, pa.array([0] * (len(dst) - n_red), pa.int64())]
                 )
 
-    f_hosts, f_shards = _hosts_and_shards(urls, n_shards, salt, groups)
-    c_hosts, c_shards = _hosts_and_shards(dst, n_shards, salt, groups)
+    f_hosts, f_shards = _hosts_and_shards(
+        urls, policy.n_shards, policy.salt, policy.groups
+    )
+    c_hosts, c_shards = _hosts_and_shards(
+        dst, policy.n_shards, policy.salt, policy.groups
+    )
     n_f = len(urls)
     cols = {
         "kind": pa.concat_arrays(
@@ -818,46 +849,13 @@ def _control_from_items(
         "host": pa.concat_arrays([f_hosts, c_hosts]),
         "shard": pa.concat_arrays([f_shards, c_shards]),
     }
-    if "cash" in items.column_names or relevance_keyword is not None:
+    if "cash" in items.column_names or policy.relevance_keyword is not None:
         if c_cash is None:
             c_cash = pa.array(np.zeros(len(dst), dtype=np.int64))
         cols["cash"] = pa.concat_arrays(
             [pa.array(np.zeros(n_f, dtype=np.int64)), c_cash]
         )
     return pa.table(cols)
-
-
-def _dispatch_control(ctrl: pa.Table, shards) -> dict:
-    """Driver-side: one batched Arrow RPC per shard for fetched URLs
-    and one for candidates (2 x n_shards RPCs per round, zero per-URL
-    Python on the driver -- the per-URL set/dict work happens inside
-    the shard actors, in parallel across shards)."""
-    fetched = 0
-    refs = []
-    for sid in range(len(shards)):
-        sub = ctrl.filter(pc.equal(ctrl["shard"], sid))
-        if sub.num_rows == 0:
-            continue
-        f = sub.filter(pc.equal(sub["kind"], "f"))
-        c = sub.filter(pc.equal(sub["kind"], "c"))
-        if f.num_rows:
-            fetched += f.num_rows
-            refs.append(
-                shards[sid].record_fetched_arrow.remote(f["url"].combine_chunks())
-            )
-        if c.num_rows:
-            refs.append(
-                shards[sid].enqueue_arrow.remote(
-                    c["url"].combine_chunks(),
-                    c["depth"].combine_chunks(),
-                    c["host"].combine_chunks(),
-                    c["cash"].combine_chunks()
-                    if "cash" in c.column_names
-                    else None,
-                )
-            )
-    admitted = sum(r for r in ray.get(refs) if isinstance(r, int))
-    return {"fetched": fetched, "admitted": admitted}
 
 
 # module-level fetch-simulator cache: pages corpora pinned in the object
@@ -971,61 +969,143 @@ def clear_pages_cache() -> None:
     _PAGES_MAT.clear()
 
 
+class _CorpusPages:
+    """Page source over one GROUP of pinned corpus blocks: the
+    semi-join of the blocks against the task's selection slices is the
+    in-sandbox stand-in for network fetch.
+
+    ``blocks`` is a list of block ObjectRefs (resolved inside the task,
+    zero-copy from plasma): the driver sizes the number of tasks to the
+    ROUND (ceil(selected/128)), not to the corpus block count, so a
+    tiny round costs a handful of task launches even on a corpus with
+    thousands of blocks — per-round overhead ∝ round size. The index_in
+    value-set index over the task's URLs is built once, then reused
+    across the group's blocks."""
+
+    def __init__(self, blocks: list):
+        self.blocks = blocks
+
+    def pages(self, sel_urls: pa.Array) -> tuple:
+        """(urls, htmls, sel_index) of the corpus rows whose url is in
+        ``sel_urls``; ``sel_index`` (an int array) maps each row to its
+        position in ``sel_urls``."""
+        import numpy as np
+
+        parts = [
+            b
+            for b in ray.get(list(self.blocks))
+            if b.num_rows and "url" in b.column_names
+            # over-partitioned tiny corpora yield empty schema-less blocks
+        ]
+        if not parts:
+            return [], [], []
+        # ONE index_in over the group's concatenated url column (the
+        # 200k-string value-set hash index was measured to dominate the
+        # filter phase when built per block per kernel); its validity is
+        # the semi-join mask. The html payload is never filter-copied:
+        # selected strings are pulled straight out of the pinned plasma
+        # buffers by index (one Arrow→str copy; a filter copy plus
+        # to_pylist double-passed the 28KB payloads and was measured 2.3×
+        # slower — memory-bus traffic is the per-node scaling ceiling)
+        url_arrs = [
+            p["url"].combine_chunks() if isinstance(p["url"], pa.ChunkedArray) else p["url"]
+            for p in parts
+        ]
+        urls_all = pa.concat_arrays(url_arrs) if len(url_arrs) > 1 else url_arrs[0]
+        code = pc.index_in(urls_all, value_set=sel_urls)
+        valid = code.is_valid().to_numpy(zero_copy_only=False)
+        idx_np = np.flatnonzero(valid)
+        if idx_np.size == 0:
+            return [], [], []
+        hit_urls = urls_all.take(pa.array(idx_np)).to_pylist()
+        codes = pc.fill_null(code, 0).to_numpy(zero_copy_only=False)[idx_np]
+        hit_htmls: list = []
+        off = 0
+        dense = idx_np.size * 4 >= len(urls_all)
+        for p, ua in zip(parts, url_arrs):
+            n = len(ua)
+            loc = idx_np[(idx_np >= off) & (idx_np < off + n)] - off
+            if loc.size:
+                col = p["html"]
+                if dense:
+                    # bulk C-loop conversion wins when most rows are hits
+                    hit_htmls.extend(col.take(pa.array(loc)).to_pylist())
+                else:
+                    # sparse: per-index scalar copy straight from the pinned
+                    # plasma buffer; never combine_chunks here (it would
+                    # copy the part's whole html column to read a few rows)
+                    arr = (
+                        col.chunk(0)
+                        if isinstance(col, pa.ChunkedArray) and col.num_chunks == 1
+                        else col
+                    )
+                    hit_htmls.extend(arr[int(i)].as_py() for i in loc)
+            off += n
+        return hit_urls, hit_htmls, codes
+
+
+class _FetchedPages:
+    """Page source over an injected Fetcher (stages/fetch.py): the
+    factory builds/reuses the session INSIDE the worker process
+    (reference: one Playwright browser per worker,
+    playwright_middleware.py:48-63)."""
+
+    def __init__(self, fetcher_factory):
+        self.fetcher_factory = fetcher_factory
+
+    def pages(self, sel_urls: pa.Array) -> tuple:
+        """(urls, htmls, sel_index) of the fetcher's pages for
+        ``sel_urls``, joined back to the selection. Only the FIRST row per requested url is kept: a row
+        for a url the task never asked for (e.g. a redirect's final
+        url) has no frontier depth and no owning selection, so it must
+        reach neither the seen set nor the items sink."""
+        got = self.fetcher_factory().fetch(sel_urls)
+        idx = pc.index_in(got["url"], value_set=sel_urls).to_pylist()
+        urls, htmls, sel_index = [], [], []
+        taken: set = set()
+        for u, h, i in zip(got["url"].to_pylist(), got["html"].to_pylist(), idx):
+            if i is None or i in taken:
+                continue
+            taken.add(i)
+            urls.append(u)
+            htmls.append(h)
+            sel_index.append(i)
+        return urls, htmls, sel_index
+
+
 @ray.remote
-def _fused_round_task(
-    blocks: list,
+def _round_task(
+    source,
     sel_parts: list,
     shards: list,
-    now_us: int,
-    allowed_domains,
-    n_shards: int,
-    salt: dict,
-    groups: dict | None,
-    max_depth: int,
+    policy: RoundPolicy,
     out_part: str | None,
-    block_idx: int = 0,
-    task_delay_ms: int = 0,
-    follow_redirects: bool = False,
-    dedup_links: bool = False,
-    obey_meta_robots: bool = False,
-    relevance_keyword: str | None = None,
+    task_idx: int,
 ) -> pa.Table:
-    """One round x one GROUP of pinned corpus blocks: semi-join +
-    extract, then SEND the control rows straight to their owning shard
-    actors (fire-and-forget — no blocking ray.get in the data plane,
-    and the driver never conveys per-URL data). Returns only delivery
-    counts; the driver reconciles them against the shards' received
-    counters before closing the round. This is the multi-node control
-    shape: candidates flow task->shard through the object store, the
-    driver handles integers.
-
-    ``blocks`` is a list of block ObjectRefs (resolved here, zero-copy
-    from plasma): the driver sizes the number of tasks to the ROUND
-    (ceil(selected/128)), not to the corpus block count, so a tiny
-    round costs a handful of task launches even on a corpus with
-    thousands of blocks — per-round overhead ∝ round size. The is_in
-    value-set index over the round's URLs is built once per task, then
-    reused across the group's blocks.
+    """One round x one page source: fetch (``source.pages``) + extract,
+    then SEND the control rows straight to their owning shard actors
+    (fire-and-forget — no blocking ray.get in the data plane, and the
+    driver never conveys per-URL data). Returns only delivery counts;
+    the driver reconciles them against the shards' received counters
+    before closing the round. This is the multi-node control shape:
+    candidates flow task->shard through the object store, the driver
+    handles integers.
 
     ``sel_parts`` is a list of (shard-selection ObjectRef,
-    bucket-range slices | None): the task reads ONLY the (offset, len)
-    slices for the url-hash buckets its corpus blocks can contain —
-    zero-copy plasma slices of the shard-pinned, bucket-grouped
-    selection tables, so the per-task selection traffic follows the
-    task's buckets, not the round (r3 distributed control plane; the
-    driver never holds or re-ships the round's URL set).
+    (offset, len) slices | None): the task reads ONLY those slices —
+    zero-copy plasma slices of the shard-pinned selection tables, so
+    the per-task selection traffic follows the task's share of the
+    round (for the corpus, the url-hash buckets its blocks can contain;
+    r3 distributed control plane: the driver never holds or re-ships
+    the round's URL set).
 
     Each task returns per-phase wall timings alongside its sent counts
     (the per-partition throughput/lag metrics the frontier design
     calls for); _await_round folds them into the round's metrics row."""
-    import time as _time
-
-    import numpy as np
-
-    ts0 = _time.time()
-    if task_delay_ms:
+    ts0 = time.time()
+    if policy.task_delay_ms:
         # fault-injection straggler (tests): stagger task completions
-        _time.sleep(task_delay_ms * (block_idx + 1) / 1000.0)
+        time.sleep(policy.task_delay_ms * (task_idx + 1) / 1000.0)
     sel_tbls = []
     for ref, ranges in sel_parts:
         t = ray.get(ref)
@@ -1033,94 +1113,33 @@ def _fused_round_task(
             if t.num_rows:
                 sel_tbls.append(t)
         else:
-            for s_off, s_len in ranges:
-                sel_tbls.append(t.slice(s_off, s_len))
-    if not sel_tbls:
-        ts1 = _time.time()
+            sel_tbls.extend(t.slice(s_off, s_len) for s_off, s_len in ranges)
+    urls: list = []
+    if sel_tbls:
+        sel = pa.concat_tables(sel_tbls)
+        urls, htmls, sel_index = source.pages(sel["url"].combine_chunks())
+    ts1 = time.time()
+    if not urls:
         return _counts_table(0, 0, ts0, ts1 - ts0, 0.0, 0.0, ts1)
-    sel = pa.concat_tables(sel_tbls)
-    sel_urls = sel["url"].combine_chunks()
-    parts = [
-        b
-        for b in ray.get(list(blocks))
-        if b.num_rows and "url" in b.column_names
-        # over-partitioned tiny corpora yield empty schema-less blocks
-    ]
-    if not parts:
-        ts1 = _time.time()
-        return _counts_table(0, 0, ts0, ts1 - ts0, 0.0, 0.0, ts1)
-    # ONE index_in over the group's concatenated url column (the
-    # 200k-string value-set hash index was measured to dominate the
-    # filter phase when built per block per kernel); its validity is
-    # the semi-join mask. The html payload is never filter-copied:
-    # selected strings are pulled straight out of the pinned plasma
-    # buffers by index (one Arrow→str copy; a filter copy plus
-    # to_pylist double-passed the 28KB payloads and was measured 2.3×
-    # slower — memory-bus traffic is the per-node scaling ceiling)
-    url_arrs = [
-        p["url"].combine_chunks() if isinstance(p["url"], pa.ChunkedArray) else p["url"]
-        for p in parts
-    ]
-    urls_all = pa.concat_arrays(url_arrs) if len(url_arrs) > 1 else url_arrs[0]
-    code = pc.index_in(urls_all, value_set=sel_urls)
-    valid = code.is_valid().to_numpy(zero_copy_only=False)
-    idx_np = np.flatnonzero(valid)
-    ts1 = _time.time()
-    if idx_np.size == 0:
-        return _counts_table(0, 0, ts0, ts1 - ts0, 0.0, 0.0, ts1)
-    take_idx = pa.array(idx_np)
-    hit_urls = urls_all.take(take_idx).to_pylist()
-    codes = pc.fill_null(code, 0).to_numpy(zero_copy_only=False)[idx_np]
-    sel_depths = sel["depth"].combine_chunks()
-    hit_depths = sel_depths.take(pa.array(codes)).to_pylist()
-    hit_htmls: list = []
-    off = 0
-    dense = idx_np.size * 4 >= len(urls_all)
-    for p, ua in zip(parts, url_arrs):
-        n = len(ua)
-        loc = idx_np[(idx_np >= off) & (idx_np < off + n)] - off
-        if loc.size:
-            col = p["html"]
-            if dense:
-                # bulk C-loop conversion wins when most rows are hits
-                hit_htmls.extend(col.take(pa.array(loc)).to_pylist())
-            else:
-                # sparse: per-index scalar copy straight from the pinned
-                # plasma buffer; never combine_chunks here (it would
-                # copy the part's whole html column to read a few rows)
-                arr = (
-                    col.chunk(0)
-                    if isinstance(col, pa.ChunkedArray) and col.num_chunks == 1
-                    else col
-                )
-                hit_htmls.extend(arr[int(i)].as_py() for i in loc)
-        off += n
+    take = pa.array(sel_index)
+    depths = sel["depth"].combine_chunks().take(take).to_pylist()
     items = extract_items(
-        hit_urls, hit_htmls, hit_depths, now_us=now_us, allowed_domains=allowed_domains
+        urls,
+        htmls,
+        depths,
+        now_us=policy.now_us,
+        allowed_domains=policy.allowed_domains,
     )
     if "cash" in sel.column_names:
         # OPIC: each fetched page's frozen cash rides along so the
         # control builder can split it over the page's out-links
-        items = items.append_column(
-            "cash", sel["cash"].combine_chunks().take(pa.array(codes))
-        )
-    ts2 = _time.time()
+        items = items.append_column("cash", sel["cash"].combine_chunks().take(take))
+    ts2 = time.time()
     if out_part is not None:
-        _write_items_part(items, out_part, f"part-{block_idx:05d}")
-    counts = _send_control(
-        items, shards, n_shards, salt, groups, max_depth, follow_redirects, dedup_links,
-        obey_meta_robots, relevance_keyword
-    )
-    ts3 = _time.time()
-    return _counts_table(
-        counts["n_fetched_sent"][0].as_py(),
-        counts["n_candidates_sent"][0].as_py(),
-        ts0,
-        ts1 - ts0,
-        ts2 - ts1,
-        ts3 - ts2,
-        ts3,
-    )
+        _write_items_part(items, out_part, f"part-{task_idx:05d}")
+    n_f, n_c = _send_control(items, shards, policy)
+    ts3 = time.time()
+    return _counts_table(n_f, n_c, ts0, ts1 - ts0, ts2 - ts1, ts3 - ts2, ts3)
 
 
 def _counts_table(
@@ -1145,27 +1164,13 @@ def _counts_table(
     )
 
 
-def _send_control(
-    items: pa.Table,
-    shards,
-    n_shards: int,
-    salt: dict,
-    groups: dict | None,
-    max_depth: int,
-    follow_redirects: bool = False,
-    dedup_links: bool = False,
-    obey_meta_robots: bool = False,
-    relevance_keyword: str | None = None,
-) -> pa.Table:
+def _send_control(items: pa.Table, shards, policy: RoundPolicy) -> tuple[int, int]:
     """Fire-and-forget the round's control rows from inside a data task
-    to their owning shard actors; returns the per-kind sent counts for
-    the driver's delivery reconciliation."""
-    ctrl = _control_from_items(
-        items, n_shards, salt, groups, max_depth, follow_redirects, dedup_links,
-        obey_meta_robots, relevance_keyword
-    )
+    to their owning shard actors; returns the (fetched, candidates)
+    sent counts for the driver's delivery reconciliation."""
+    ctrl = _control_from_items(items, policy)
     n_f = n_c = 0
-    for sid in range(n_shards):
+    for sid in range(policy.n_shards):
         sub = ctrl.filter(pc.equal(ctrl["shard"], sid))
         if sub.num_rows == 0:
             continue
@@ -1182,12 +1187,7 @@ def _send_control(
                 c["host"].combine_chunks(),
                 c["cash"].combine_chunks() if "cash" in c.column_names else None,
             )
-    return pa.table(
-        {
-            "n_fetched_sent": pa.array([n_f], pa.int64()),
-            "n_candidates_sent": pa.array([n_c], pa.int64()),
-        }
-    )
+    return n_f, n_c
 
 
 def _await_round(count_refs, frontier: "Frontier", round_no: int, base, a_before) -> dict:
@@ -1259,80 +1259,54 @@ def _await_round(count_refs, frontier: "Frontier", round_no: int, base, a_before
     t_poll = _time.perf_counter() - t_poll0
     a_after = sum(ray.get([s.admitted_total.remote() for s in frontier.shards]))
     out = {"fetched": exp_f, "admitted": a_after - a_before, "interrupted": interrupted}
-    if "ts_start" in counts.column_names:
-        # per-partition timing rollup (tasks stamp wall-clock phases)
-        ts_s = counts["ts_start"].to_pylist()
-        ts_e = counts["ts_end"].to_pylist()
-        out["prof"] = {
-            "n_tasks": counts.num_rows,
-            "t_counts_wait": round(t_counts, 4),
-            "t_poll": round(t_poll, 4),
-            "cpu_filter": round(float(pc.sum(counts["t_filter"]).as_py() or 0), 4),
-            "cpu_extract": round(float(pc.sum(counts["t_extract"]).as_py() or 0), 4),
-            "cpu_send": round(float(pc.sum(counts["t_send"]).as_py() or 0), 4),
-            "task_span": round(max(ts_e) - min(ts_s), 4) if ts_s else 0.0,
-            "start_spread": round(max(ts_s) - min(ts_s), 4) if ts_s else 0.0,
-            "end_spread": round(max(ts_e) - min(ts_e), 4) if ts_e else 0.0,
-        }
+    # per-partition timing rollup (every round task stamps wall-clock
+    # phases)
+    ts_s = counts["ts_start"].to_pylist()
+    ts_e = counts["ts_end"].to_pylist()
+    out["prof"] = {
+        "n_tasks": counts.num_rows,
+        "t_counts_wait": round(t_counts, 4),
+        "t_poll": round(t_poll, 4),
+        "cpu_filter": round(float(pc.sum(counts["t_filter"]).as_py() or 0), 4),
+        "cpu_extract": round(float(pc.sum(counts["t_extract"]).as_py() or 0), 4),
+        "cpu_send": round(float(pc.sum(counts["t_send"]).as_py() or 0), 4),
+        "task_span": round(max(ts_e) - min(ts_s), 4),
+        "start_spread": round(max(ts_s) - min(ts_s), 4),
+        "end_spread": round(max(ts_e) - min(ts_e), 4),
+    }
     return out
 
 
-@ray.remote
-def _fetch_round_task(
-    sel: pa.Table,
-    off: int,
-    ln: int,
-    fetcher_factory,
-    shards: list,
-    now_us: int,
-    allowed_domains,
-    n_shards: int,
-    salt: dict,
-    groups: dict | None,
-    max_depth: int,
-    out_part: str | None,
-    chunk_idx: int,
-    follow_redirects: bool = False,
-    dedup_links: bool = False,
-    obey_meta_robots: bool = False,
-    relevance_keyword: str | None = None,
-) -> pa.Table:
-    """One round x one URL chunk through an injected fetcher (the
-    FetcherActor seam, stages/fetch.py): the factory builds/reuses the
-    session INSIDE the worker process (reference: one Playwright browser
-    per worker, playwright_middleware.py:48-63), fetches the chunk,
-    and the rest of the round — extract, per-round output part, control
-    dispatch — is identical to the corpus path. ``sel`` arrives as a
-    shard-selection ObjectRef (Ray auto-resolves top-level args,
-    zero-copy from plasma); the task slices its own [off, off+ln)
-    chunk, so the driver never materializes or re-ships the round."""
-    sel = sel.slice(off, ln)
-    fetcher = fetcher_factory()
-    urls = sel["url"]
-    urls = urls.combine_chunks() if isinstance(urls, pa.ChunkedArray) else urls
-    pages = fetcher.fetch(urls)
-    if pages.num_rows == 0:
-        return pa.table(
-            {
-                "n_fetched_sent": pa.array([0], pa.int64()),
-                "n_candidates_sent": pa.array([0], pa.int64()),
-            }
-        )
-    idx = pc.index_in(pages["url"], value_set=urls)
-    depths = sel["depth"]
-    depths = depths.combine_chunks() if isinstance(depths, pa.ChunkedArray) else depths
-    pages = pages.append_column("depth", depths.take(idx).cast(pa.int32()))
-    if "cash" in sel.column_names:
-        cash = sel["cash"]
-        cash = cash.combine_chunks() if isinstance(cash, pa.ChunkedArray) else cash
-        pages = pages.append_column("cash", cash.take(idx))
-    items = extract_batch(pages, now_us=now_us, allowed_domains=allowed_domains)
-    if out_part is not None:
-        _write_items_part(items, out_part, f"part-{chunk_idx:05d}")
-    return _send_control(
-        items, shards, n_shards, salt, groups, max_depth, follow_redirects, dedup_links,
-        obey_meta_robots, relevance_keyword
+def _run_round(
+    plan: list,
+    frontier: Frontier,
+    policy: RoundPolicy,
+    out_dir: str | None,
+    round_no: int,
+    part_tag: str,
+) -> dict:
+    """Submit one ``_round_task`` per planned (page source, sel_parts)
+    pair and await the round: every expand stage shares this, and
+    differs only in how it plans the pairs."""
+    out_part = (
+        f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}"
+        if out_dir is not None
+        else None
     )
+    base = ray.get([s.received.remote() for s in frontier.shards])
+    a_before = sum(ray.get([s.admitted_total.remote() for s in frontier.shards]))
+    t0 = time.perf_counter()
+    count_refs = [
+        _round_task.remote(source, sel_parts, frontier.shards, policy, out_part, i)
+        for i, (source, sel_parts) in enumerate(plan)
+    ]
+    t_submit = time.perf_counter() - t0
+    if not count_refs:
+        return {"fetched": 0, "admitted": 0}
+    stats = _await_round(count_refs, frontier, round_no, base, a_before)
+    if "prof" in stats:
+        stats["prof"]["t_submit"] = round(t_submit, 4)
+    return stats
 
 
 def fetcher_expand(
@@ -1344,52 +1318,22 @@ def fetcher_expand(
 ):
     """Expansion stage driven by an injected Fetcher (stages/fetch.py)
     instead of the corpus semi-join: the round's URL set fans out in
-    chunks to fetch tasks — (shard-selection ref, offset, len) triples,
-    sliced inside the tasks, so the driver conveys only refs and chunk
-    arithmetic. Interchangeable with pages_expand — same control flow,
-    frontier semantics, and per-round output layout."""
+    chunks to round tasks — (shard-selection ref, [(offset, len)])
+    parts, sliced inside the tasks, so the driver conveys only refs and
+    chunk arithmetic. Interchangeable with pages_expand — same round
+    task, frontier semantics, and per-round output layout."""
+    policy = RoundPolicy.from_config(cfg, now_us)
+    source = _FetchedPages(fetcher_factory)
 
     def expand(
         sel: RoundSelection, round_no: int, frontier: Frontier, part_tag: str = ""
     ) -> dict:
-        out_part = (
-            f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}"
-            if out_dir is not None
-            else None
-        )
-        base = ray.get([s.received.remote() for s in frontier.shards])
-        a_before = sum(ray.get([s.admitted_total.remote() for s in frontier.shards]))
-        count_refs = []
-        chunk_idx = 0
-        for meta, ref in zip(sel.metas, sel.refs):
-            for off in range(0, meta["count"], chunk_size):
-                count_refs.append(
-                    _fetch_round_task.remote(
-                        ref,
-                        off,
-                        min(chunk_size, meta["count"] - off),
-                        fetcher_factory,
-                        frontier.shards,
-                        now_us,
-                        cfg.allowed_domains,
-                        cfg.n_shards,
-                        cfg.hot_host_salt,
-                        cfg.ip_groups,
-                        cfg.max_depth,
-                        out_part,
-                        chunk_idx,
-                        cfg.follow_redirects,
-                        cfg.priority == "backlink_desc",
-                        cfg.obey_meta_robots,
-                        cfg.relevance_keyword
-                        if cfg.priority == "relevance_desc"
-                        else None,
-                    )
-                )
-                chunk_idx += 1
-        if not count_refs:
-            return {"fetched": 0, "admitted": 0}
-        return _await_round(count_refs, frontier, round_no, base, a_before)
+        plan = [
+            (source, [(ref, [(off, min(chunk_size, meta["count"] - off))])])
+            for meta, ref in zip(sel.metas, sel.refs)
+            for off in range(0, meta["count"], chunk_size)
+        ]
+        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
 
     return expand
 
@@ -1415,10 +1359,28 @@ def run_crawl_with_fetcher(
     return res
 
 
+def _sel_parts(sel: RoundSelection, buckets: set | None) -> list:
+    """Per-task selection parts: for each shard's pinned selection, the
+    whole table, or — given the url-hash ``buckets`` a task's corpus
+    blocks can contain — only those buckets' (offset, len) slices of
+    the bucket-grouped table (the driver ships range arithmetic, never
+    URL rows)."""
+    parts = []
+    for ref, m in zip(sel.refs, sel.metas):
+        ranges = m["ranges"]
+        if buckets is None or ranges is None:
+            if m["count"]:
+                parts.append((ref, None))
+            continue
+        slices = [ranges[b] for b in sorted(buckets) if b in ranges]
+        if slices:
+            parts.append((ref, slices))
+    return parts
+
+
 def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us: int):
     """Expansion stage over a Common-Crawl-style pages corpus. Returns
     an ``expand(selected, round_no, frontier) -> stats`` callable."""
-    import functools
     import os
 
     # bucketed corpus layout (write_pages_parquet(bucket_by_url=True)):
@@ -1431,297 +1393,57 @@ def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us:
     if os.path.exists(marker):
         with open(marker) as f:
             n_buckets = json.load(f)["n_buckets"]
-
-    # below cfg.inline_round_threshold selected URLs, a distributed
-    # round costs more in launch overhead than it saves: run the
-    # fetch+extract inline on the driver with row-group-pruned reads
-    # (the BFS warm-up rounds of a single-seed crawl)
+    policy = RoundPolicy.from_config(cfg, now_us)
 
     def expand(
         sel: RoundSelection, round_no: int, frontier: Frontier, part_tag: str = ""
     ) -> dict:
+        prime_pages_cache(pages_path)
         # buckets the round's URLs hash into — computed SHARD-SIDE at
         # selection_part time and unioned here from the small metas;
         # the driver never touches the round's URL strings (r3)
         needed = sel.bucket_union()
-
-        def fetch_filter(batch: pa.Table, sel: pa.Table) -> pa.Table:
-            """Semi-join a corpus batch against the round's URL set and
-            attach BFS depths — all Arrow kernels (is_in + index_in +
-            take), no per-URL Python."""
-            if batch.num_rows == 0 or "url" not in batch.column_names:
-                return pa.table(
-                    {
-                        "url": pa.array([], pa.string()),
-                        "html": pa.array([], pa.string()),
-                        "depth": pa.array([], pa.int32()),
-                    }
-                )
-            mask = pc.is_in(batch["url"], value_set=sel["url"])
-            hit = batch.filter(mask)
-            if hit.num_rows == 0:
-                hit = hit.append_column("depth", pa.array([], pa.int32()))
-                if "cash" in sel.column_names:
-                    hit = hit.append_column("cash", pa.array([], pa.int64()))
-                return hit
-            idx = pc.index_in(hit["url"], value_set=sel["url"])
-            hit = hit.append_column("depth", sel["depth"].take(idx).cast(pa.int32()))
-            if "cash" in sel.column_names:
-                hit = hit.append_column("cash", sel["cash"].take(idx))
-            return hit
-
-        extract = functools.partial(
-            extract_batch, now_us=now_us, allowed_domains=cfg.allowed_domains
-        )
-
-        if (
-            needed is not None
-            and out_dir is None
-            and sel.total <= cfg.inline_round_threshold
-            and pages_path not in _PAGES_MAT
-        ):
-            # inline point reads only when the corpus is NOT pinned: a
-            # primed corpus serves tiny rounds from bucket-pruned pinned
-            # blocks with zero parquet IO, while the driver-inline reads
-            # pay a serial decompress per bucket file (2.8s flat on 28KB
-            # pages — the same at every cluster size, i.e. anti-scaling)
-            # tiny rounds: driver-side row-group-pruned point reads beat
-            # launching a corpus-wide distributed filter
-            # driver-inline fast path for tiny rounds (materializing a
-            # <=inline_round_threshold selection is by definition not a
-            # round-proportional driver table; recorded in driver_rows)
-            import glob as _glob
-
-            import pyarrow.parquet as pq
-
-            sel_tbl = sel.materialize()
-            read_paths = [
-                f
-                for b in sorted(needed)
-                for f in sorted(
-                    _glob.glob(os.path.join(pages_path, f"bucket-{b:05d}*.parquet"))
-                )
+        # bucket pruning: a round submits tasks ONLY for blocks that
+        # can contain its URLs (per-block bucket sets computed at
+        # prime time) — per-round cost scales with the round, not
+        # the corpus (VERDICT r1 'Next round' #4)
+        cache = _PAGES_MAT[pages_path]
+        block_buckets = cache.get("block_buckets")
+        if needed is not None and block_buckets is not None:
+            block_refs = [
+                (r, bb)
+                for r, bb in zip(cache["refs"], block_buckets)
+                if not needed.isdisjoint(bb)
             ]
-            ctrls = []
-            sel_url_list = sel_tbl["url"].to_pylist()
-            for path in read_paths:
-                # filters= prunes on row-group url statistics (buckets
-                # are written url-sorted with 256-row groups)
-                hit = fetch_filter(
-                    pq.read_table(
-                        path,
-                        columns=["url", "html"],
-                        filters=[("url", "in", sel_url_list)],
-                    ),
-                    sel_tbl,
-                )
-                if hit.num_rows == 0:
-                    continue
-                ctrls.append(
-                    _control_from_items(
-                        extract(hit),
-                        cfg.n_shards,
-                        cfg.hot_host_salt,
-                        cfg.ip_groups,
-                        cfg.max_depth,
-                        cfg.follow_redirects,
-                        cfg.priority == "backlink_desc",
-                        cfg.obey_meta_robots,
-                        cfg.relevance_keyword
-                        if cfg.priority == "relevance_desc"
-                        else None,
-                    )
-                )
-            if not ctrls:
-                return {"fetched": 0, "admitted": 0}
-            return _dispatch_control(pa.concat_tables(ctrls), frontier.shards)
-
-        prime_pages_cache(pages_path)
-
-        if cfg.round_fanout == "tasks":
-            out_part = (
-                f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}"
-                if out_dir is not None
-                else None
-            )
-            base = ray.get([s.received.remote() for s in frontier.shards])
-            a_before = sum(
-                ray.get([s.admitted_total.remote() for s in frontier.shards])
-            )
-            # bucket pruning: a round submits tasks ONLY for blocks that
-            # can contain its URLs (per-block bucket sets computed at
-            # prime time) — per-round cost scales with the round, not
-            # the corpus (VERDICT r1 'Next round' #4)
-            cache = _PAGES_MAT[pages_path]
-            block_buckets = cache.get("block_buckets")
-            if needed is not None and block_buckets is not None:
-                block_refs = [
-                    (r, bb)
-                    for r, bb in zip(cache["refs"], block_buckets)
-                    if not needed.isdisjoint(bb)
-                ]
-            else:
-                block_refs = [(r, None) for r in cache["refs"]]
-            # task count follows the ROUND, not the corpus or the
-            # cluster: a tiny round on a thousand-block corpus launches
-            # a handful of grouped tasks, each resolving its blocks
-            # zero-copy from plasma (refs passed inside a list are NOT
-            # auto-resolved). ceil(selected/128) keeps >=~40ms of
-            # extract work per task (28KB pages) so launch overhead
-            # stays <~20%% of a task, while mid-BFS rounds (4k-32k
-            # URLs) still fan wide; 2x cluster CPUs caps the launch
-            # burst (a flat 2x-CPU FLOOR was measured to cost 0.6-1.0s
-            # per small round at 32 CPUs — 64 task launches to extract
-            # 512 pages — and tanked 8->32 scaling to ~0.56)
-            n_cpus = int(ray.cluster_resources().get("CPU", 32))
-            n_tasks = max(
-                1,
-                min(
-                    len(block_refs),
-                    2 * n_cpus,
-                    -(-sel.total // 128),
-                ),
-            )
-            groups: list[list] = [[] for _ in range(n_tasks)]
-            group_bb: list = [set() if block_buckets is not None else None
-                              for _ in range(n_tasks)]
-            for j, (r, bb) in enumerate(block_refs):
-                groups[j % n_tasks].append(r)
-                if bb is not None:
-                    group_bb[j % n_tasks].update(bb)
-            # per-task selection parts: for each shard's pinned,
-            # bucket-grouped selection, only the (offset, len) slices
-            # of the buckets THIS task's blocks can contain — the task
-            # zero-copy-slices them out of plasma (driver ships range
-            # arithmetic, never URL rows)
-            _tsub0 = time.perf_counter()
-            count_refs = []
-            for g, grp in enumerate(groups):
-                if not grp:
-                    continue
-                gb = group_bb[g]
-                if gb is None or needed is None:
-                    sel_parts = [
-                        (ref, None)
-                        for ref, m in zip(sel.refs, sel.metas)
-                        if m["count"]
-                    ]
-                else:
-                    sel_parts = []
-                    for ref, m in zip(sel.refs, sel.metas):
-                        ranges = m["ranges"]
-                        if ranges is None:
-                            if m["count"]:
-                                sel_parts.append((ref, None))
-                            continue
-                        slices = [ranges[b] for b in sorted(gb) if b in ranges]
-                        if slices:
-                            sel_parts.append((ref, slices))
-                if not sel_parts:
-                    continue
-                count_refs.append(
-                    _fused_round_task.remote(
-                        grp,
-                        sel_parts,
-                        frontier.shards,
-                        now_us,
-                        cfg.allowed_domains,
-                        cfg.n_shards,
-                        cfg.hot_host_salt,
-                        cfg.ip_groups,
-                        cfg.max_depth,
-                        out_part,
-                        g,
-                        cfg.task_delay_ms,
-                        cfg.follow_redirects,
-                        cfg.priority == "backlink_desc",
-                        cfg.obey_meta_robots,
-                        cfg.relevance_keyword
-                        if cfg.priority == "relevance_desc"
-                        else None,
-                    )
-                )
-            _t_submit = time.perf_counter() - _tsub0
-            if not count_refs:
-                return {"fetched": 0, "admitted": 0}
-            stats = _await_round(count_refs, frontier, round_no, base, a_before)
-            if "prof" in stats:
-                stats["prof"]["t_submit"] = round(_t_submit, 4)
-            return stats
-
-        # "dataset" fanout: the A/B-measured-slower alternative kept for
-        # comparison. It runs a fused map_batches over the WHOLE primed
-        # corpus; the selection is materialized + re-put here (this mode
-        # does not have the distributed control plane's bucket slicing).
-        sel_ref = ray.put(sel.materialize())
-
-        def fused(batch: pa.Table) -> pa.Table:
-            """filter -> extract -> control rows, ONE task stage per
-            round; no blocking RPC inside the task."""
-            hit = fetch_filter(batch, ray.get(sel_ref))
-            if hit.num_rows == 0:
-                empty = {
-                    "url": pa.array([], pa.string()),
-                    "depth": pa.array([], pa.int32()),
-                    "links": pa.array([], pa.list_(pa.string())),
-                }
-                if cfg.priority in ("opic", "relevance_desc"):
-                    # keep the batch-uniform control schema (the cash
-                    # column appears iff the crawl carries scores)
-                    empty["cash"] = pa.array([], pa.int64())
-                return _control_from_items(
-                    pa.table(empty),
-                    cfg.n_shards,
-                    cfg.hot_host_salt,
-                    cfg.ip_groups,
-                    cfg.max_depth,
-                    cfg.follow_redirects,
-                    cfg.priority == "backlink_desc",
-                    cfg.obey_meta_robots,
-                    cfg.relevance_keyword
-                    if cfg.priority == "relevance_desc"
-                    else None,
-                )
-            items = extract(hit)
-            if out_dir is not None:
-                # deterministic part name from the block's first URL
-                # (blocks are disjoint, so the first hit URL identifies
-                # the block): retries overwrite, never duplicate
-                tag = hashlib.blake2b(
-                    hit["url"][0].as_py().encode(), digest_size=6
-                ).hexdigest()
-                _write_items_part(
-                    items,
-                    f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}",
-                    f"part-{tag}",
-                )
-            return _control_from_items(
-                items,
-                cfg.n_shards,
-                cfg.hot_host_salt,
-                cfg.ip_groups,
-                cfg.max_depth,
-                cfg.follow_redirects,
-                cfg.priority == "backlink_desc",
-                cfg.obey_meta_robots,
-                cfg.relevance_keyword
-                if cfg.priority == "relevance_desc"
-                else None,
-            )
-
-        ctrl_batches = list(
-            _PAGES_MAT[pages_path]["mat"]
-            .map_batches(
-                fused,
-                batch_format="pyarrow",
-                batch_size=None,        # whole blocks: no re-slice/copy
-                zero_copy_batch=True,   # corpus blocks are read-only
-            )
-            .iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        if not ctrl_batches:
-            return {"fetched": 0, "admitted": 0}
-        return _dispatch_control(pa.concat_tables(ctrl_batches), frontier.shards)
+        else:
+            block_refs = [(r, None) for r in cache["refs"]]
+        # task count follows the ROUND, not the corpus or the
+        # cluster: a tiny round on a thousand-block corpus launches
+        # a handful of grouped tasks, each resolving its blocks
+        # zero-copy from plasma (refs passed inside a list are NOT
+        # auto-resolved). ceil(selected/128) keeps >=~40ms of
+        # extract work per task (28KB pages) so launch overhead
+        # stays <~20%% of a task, while mid-BFS rounds (4k-32k
+        # URLs) still fan wide; 2x cluster CPUs caps the launch
+        # burst (a flat 2x-CPU FLOOR was measured to cost 0.6-1.0s
+        # per small round at 32 CPUs — 64 task launches to extract
+        # 512 pages — and tanked 8->32 scaling to ~0.56)
+        n_cpus = int(ray.cluster_resources().get("CPU", 32))
+        n_tasks = max(1, min(len(block_refs), 2 * n_cpus, -(-sel.total // 128)))
+        groups: list[list] = [[] for _ in range(n_tasks)]
+        group_bb: list = [
+            set() if block_buckets is not None else None for _ in range(n_tasks)
+        ]
+        for j, (r, bb) in enumerate(block_refs):
+            groups[j % n_tasks].append(r)
+            if bb is not None:
+                group_bb[j % n_tasks].update(bb)
+        plan = []
+        for grp, gb in zip(groups, group_bb):
+            parts = _sel_parts(sel, gb if needed is not None else None)
+            if grp and parts:
+                plan.append((_CorpusPages(grp), parts))
+        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
 
     # run_frontier reads this to ask take_round for bucket-grouped
     # shard selections (shard-side url_bucket + range metadata)
@@ -1841,7 +1563,7 @@ def run_frontier(
     tasks, order parts in plasma/parquet. Per-round ``driver_rows``
     in the metrics records the largest driver-resident row count the
     control plane actually touched (threshold-probe samples, or a
-    materialized tiny-round/test-path selection).
+    materialized test-path selection).
 
     Pass an existing ``frontier`` to CONTINUE over live shard state
     (multi-pass jobs: TTL re-crawl expires a URL subset, then runs a

@@ -75,10 +75,10 @@ def extract_items(
     allowed_domains: list[str] | None = None,
 ) -> pa.Table:
     """Core of extract_batch over plain Python lists — lets callers that
-    already hold row-selected strings (the fused round task picks html
-    values straight out of the pinned corpus block by index, one Arrow→
-    str copy instead of a filter copy plus to_pylist) skip the table
-    detour."""
+    already hold row-selected strings (the round task's corpus source
+    picks html values straight out of the pinned corpus block by index,
+    one Arrow→str copy instead of a filter copy plus to_pylist) skip the
+    table detour."""
     out: dict[str, list] = {
         "url": [],
         "title": [],

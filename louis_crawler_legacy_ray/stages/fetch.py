@@ -1,30 +1,33 @@
 """Injectable fetcher seam (VERDICT r1 'Next round' #8).
 
-The crawl's "fetch" step is pluggable: the frontier hands a selected
-(url, depth) table to a *fetcher* and gets back a pages table
-``(url, html)`` containing the successfully fetched subset. URLs absent
-from the result are quarantined by the round's finish phase — exactly
-the reference's 404 path (responses.py:30-35).
+Every crawl round runs one round task (pipelines/crawl.py
+``_round_task``) over a *page source*. By default the source is the
+corpus semi-join over pinned blocks (``pages_expand``), the in-sandbox
+stand-in for the network, like the reference goldie's disk cache
+(middlewares.py:102-117). ``fetcher_expand`` swaps in a source that
+hands each task's selected URLs to a *fetcher* and gets back a pages
+table ``(url, html)`` containing the successfully fetched subset. Rows
+for URLs the task did not request are dropped, as are repeated rows
+for one URL. URLs absent from the result are quarantined by the
+round's finish phase — exactly the reference's 404 path
+(responses.py:30-35).
 
-Implementations:
+Fetcher implementations:
 
-* the default corpus semi-join (pipelines/crawl.py pages_expand) — the
-  in-sandbox stand-in for the network, like the reference goldie's disk
-  cache (middlewares.py:102-117);
 * :class:`DictFetcher` — an in-memory fake for tests;
 * :class:`HttpFetcher` — the real network implementation over stdlib
   http.client: one keep-alive connection per (scheme, netloc) per
   worker process, 200 -> page, 404/transport failure -> quarantined,
   optional per-host politeness delay, optional address-resolve hook.
   Mirrors the reference's one-Playwright-browser-per-worker middleware
-  (playwright_middleware.py:48-63). The factory runs inside the fetch
+  (playwright_middleware.py:48-63). The factory runs inside the round
   task's worker process, so session state is per-worker, never pickled
   through the driver; in this sandbox it is exercised against an
   in-process loopback server (sources/loopback.py,
   tests/test_http_fetcher.py) — no external network needed.
 
 A *fetcher factory* is a zero-arg picklable callable returning a
-Fetcher; it is invoked inside each fetch task (Ray reuses worker
+Fetcher; it is invoked inside each round task (Ray reuses worker
 processes, so factories may memoize per-process for session reuse).
 """
 

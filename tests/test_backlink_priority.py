@@ -6,7 +6,7 @@ builder, and checkpoint round-trip of the live counts."""
 import pyarrow as pa
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -74,8 +74,10 @@ def test_control_dedup_links_collapses_page_level_edges():
             ),
         }
     )
-    raw = _control_from_items(items, 1, {}, None, 6)
-    dd = _control_from_items(items, 1, {}, None, 6, dedup_links=True)
+    raw = _control_from_items(items, RoundPolicy(n_shards=1, max_depth=6))
+    dd = _control_from_items(
+        items, RoundPolicy(n_shards=1, max_depth=6, dedup_links=True)
+    )
 
     def cands(ctrl):
         c = ctrl.filter(pa.compute.equal(ctrl["kind"], "c"))

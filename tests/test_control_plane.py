@@ -49,7 +49,6 @@ def test_driver_rows_bounded_under_round_limit(ray_session, tmp_path):
             max_depth=8,
             max_rounds=64,
             round_limit=7,
-            inline_round_threshold=0,
         ),
     )
     # exact cap, never n_shards-rounded above or below
@@ -82,7 +81,7 @@ def test_uncapped_round_has_zero_driver_rows(ray_session, tmp_path):
     res = run_crawl(
         d,
         [seed_url],
-        CrawlConfig(n_shards=2, max_depth=6, max_rounds=16, inline_round_threshold=0),
+        CrawlConfig(n_shards=2, max_depth=6, max_rounds=16),
     )
     assert res.counts["seen"] > 100
     assert all(m["driver_rows"] == 0 for m in res.metrics)
@@ -93,7 +92,7 @@ def test_order_streams_to_parquet_and_matches_refs_mode(ray_session, tmp_path):
     under out/order/round=N/shard-i.parquet and the lazy reader
     reproduces exactly the refs-mode (in-plasma) order table."""
     d, seed_url = _corpus(tmp_path)
-    cfg = dict(n_shards=2, max_depth=6, max_rounds=16, inline_round_threshold=0)
+    cfg = dict(n_shards=2, max_depth=6, max_rounds=16)
     out = str(tmp_path / "out")
     streamed = run_crawl(d, [seed_url], CrawlConfig(**cfg), out_dir=out)
     in_mem = run_crawl(d, [seed_url], CrawlConfig(**cfg))

@@ -1,5 +1,5 @@
 """Frontier knobs: hot-host salting (skew defusal), round_limit (the
-reference's CLOSESPIDER page cap, O4), and both round fan-out modes."""
+reference's CLOSESPIDER page cap, O4), and the distributed round path."""
 
 import pyarrow as pa
 import pytest
@@ -69,7 +69,7 @@ def test_round_limit_caps_and_defers(ray_session, tmp_path):
     assert capped.rounds >= free.rounds
 
 
-@pytest.mark.parametrize("fanout", ["dataset", "tasks"])
+@pytest.mark.parametrize("fanout", ["tasks"])
 def test_fanout_modes_equivalent(ray_session, tmp_path, fanout):
     docs = synth_documents(40, seed=4)
     pages = pages_from_documents(docs)
@@ -85,8 +85,6 @@ def test_fanout_modes_equivalent(ray_session, tmp_path, fanout):
             n_shards=2,
             max_depth=4,
             max_rounds=10,
-            round_fanout=fanout,
-            inline_round_threshold=0,  # force the distributed path
         ),
     )
     assert res.counts["seen"] == len(set(res.order["url"].to_pylist()))

@@ -1,5 +1,5 @@
 """Crawl with out_dir: per-round partitioned crawl_items written from
-the round tasks themselves (both fan-out modes)."""
+the round tasks themselves."""
 
 import glob
 
@@ -15,7 +15,7 @@ from louis_crawler_legacy_ray.sources.pages import (
 )
 
 
-@pytest.mark.parametrize("fanout", ["tasks", "dataset"])
+@pytest.mark.parametrize("fanout", ["tasks"])
 def test_out_dir_written_per_round(ray_session, tmp_path, fanout):
     docs = synth_documents(40, seed=13)
     pages = pages_from_documents(docs)
@@ -33,8 +33,6 @@ def test_out_dir_written_per_round(ray_session, tmp_path, fanout):
             n_shards=2,
             max_depth=5,
             max_rounds=10,
-            round_fanout=fanout,
-            inline_round_threshold=0,  # force distributed rounds
         ),
         out_dir=out,
     )
@@ -73,7 +71,7 @@ def test_write_items_part_retry_overwrites(tmp_path):
 
 
 def test_per_partition_metrics_in_checkpoint(ray_session, tmp_path):
-    """Tasks-fanout rounds roll per-task phase timings (p_* columns)
+    """Round tasks roll their per-task phase timings (p_* columns)
     into the round metrics rows, and append_metrics persists them to
     the checkpoint's metrics parquet (north_rule: per-partition
     throughput/lag metrics)."""
@@ -93,8 +91,6 @@ def test_per_partition_metrics_in_checkpoint(ray_session, tmp_path):
             n_shards=2,
             max_depth=5,
             max_rounds=10,
-            round_fanout="tasks",
-            inline_round_threshold=0,
             checkpoint_dir=ckpt,
         ),
         out_dir=None,

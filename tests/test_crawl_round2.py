@@ -76,15 +76,13 @@ def test_query_string_seed_not_quarantined(ray_session, tmp_path):
             n_shards=4,
             max_depth=2,
             max_rounds=10,
-            round_fanout="tasks",
-            inline_round_threshold=0,  # force the distributed path
         ),
     )
     assert res.counts["errored"] == 0
     assert set(res.order["url"].to_pylist()) == set(pages)
 
 
-@pytest.mark.parametrize("fanout", ["tasks", "dataset"])
+@pytest.mark.parametrize("fanout", ["tasks"])
 def test_bucketed_corpus_pruned_rounds_match_full_scan(
     ray_session, tmp_path, fanout
 ):
@@ -105,8 +103,6 @@ def test_bucketed_corpus_pruned_rounds_match_full_scan(
         n_shards=2,
         max_depth=4,
         max_rounds=12,
-        round_fanout=fanout,
-        inline_round_threshold=0,
     )
     clear_pages_cache()
     flat = run_crawl(d_flat, [seed], CrawlConfig(**cfg))
@@ -203,6 +199,111 @@ def test_injected_fetcher_matches_corpus_crawl(ray_session, tmp_path):
     assert via_corpus.order.to_pydict() == via_fetcher.order.to_pydict()
     assert via_corpus.counts["seen"] == via_fetcher.counts["seen"]
     assert via_corpus.counts["errored"] == via_fetcher.counts["errored"] == 1
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        dict(priority="depth_url"),
+        dict(priority="backlink_desc"),
+        dict(priority="opic"),
+        dict(priority="relevance_desc", relevance_keyword="food"),
+        dict(follow_redirects=True, obey_meta_robots=True),
+    ],
+    ids=["depth_url", "backlink_desc", "opic", "relevance_desc", "redirects_meta"],
+)
+def test_injected_fetcher_matches_corpus_crawl_over_policy(
+    ray_session, tmp_path, policy
+):
+    """Corpus and fetcher page sources drive the same round task under
+    every candidate policy: identical order and seen set on a bucketed
+    corpus whose per-host budget makes the priority shape each round
+    (with 3 children per page, each priority here yields a different
+    schedule from depth_url). Fetcher rounds report the same per-task
+    phase timings."""
+    from louis_crawler_legacy_ray.pipelines.crawl import run_crawl_with_fetcher
+    from louis_crawler_legacy_ray.stages.fetch import DictFetcher
+
+    docs = synth_documents(120, seed=4)
+    pages = pages_from_documents(docs, n_children=3)
+    d = str(tmp_path / "pages")
+    write_pages_parquet(pages, d, rows_per_file=16, bucket_by_url=True)
+    seed = (
+        f"http://inspection.canada.ca/{lang_segment(docs['lang'][0].as_py())}"
+        f"/{docs['source'][0].as_py()}/doc0"
+    )
+    cfg = dict(n_shards=2, max_depth=6, max_rounds=64, per_host_budget=16, **policy)
+    clear_pages_cache()
+    via_corpus = run_crawl(d, [seed], CrawlConfig(**cfg))
+    clear_pages_cache()
+
+    html_by_url = {
+        u: h.decode()
+        for u, h in zip(pages["url"].to_pylist(), pages["html"].to_pylist())
+    }
+
+    def factory():
+        return DictFetcher(html_by_url)
+
+    via_fetcher = run_crawl_with_fetcher(factory, [seed], CrawlConfig(**cfg))
+    assert via_corpus.order.to_pydict() == via_fetcher.order.to_pydict()
+    assert via_corpus.counts["seen"] == via_fetcher.counts["seen"] > 1
+    assert all(
+        m["p_n_tasks"] >= 1 and "p_cpu_extract" in m for m in via_fetcher.metrics
+    )
+
+
+def test_fetcher_unrequested_urls_stay_out_of_seen_and_items(ray_session, tmp_path):
+    """A fetcher that answers with rows the round never asked for — a
+    redirect's final url, or the same page twice — must not add them
+    to the seen set or the items sink: only the first row per
+    requested url counts."""
+    import glob
+
+    import pyarrow.parquet as pq
+
+    from louis_crawler_legacy_ray.pipelines.crawl import run_crawl_with_fetcher
+    from louis_crawler_legacy_ray.stages.fetch import DictFetcher
+
+    html_by_url = {
+        "http://f.ca/a": _page("http://f.ca/a", ["/b"]),
+        "http://f.ca/b": _page("http://f.ca/b", []),
+    }
+    extra = _page("http://f.ca/elsewhere", [])
+
+    class OverEagerFetcher(DictFetcher):
+        def fetch(self, urls):
+            got = super().fetch(urls)
+            return pa.concat_tables(
+                [
+                    got,
+                    got,
+                    pa.table(
+                        {
+                            "url": pa.array(["http://f.ca/elsewhere"], pa.string()),
+                            "html": pa.array([extra], pa.string()),
+                        }
+                    ),
+                ]
+            )
+
+    def factory():
+        return OverEagerFetcher(html_by_url)
+
+    out = str(tmp_path / "out")
+    res = run_crawl_with_fetcher(
+        factory,
+        ["http://f.ca/a"],
+        CrawlConfig(n_shards=2, max_depth=4, max_rounds=10),
+        out_dir=out,
+    )
+    assert res.counts["seen"] == 2
+    assert sorted(res.order["url"].to_pylist()) == sorted(html_by_url)
+    items = pa.concat_tables(
+        [pq.read_table(f) for f in glob.glob(f"{out}/crawl_items/round=*/*.parquet")]
+    )
+    assert sorted(items["url"].to_pylist()) == sorted(html_by_url)
+    assert items["depth"].null_count == 0
 
 
 def test_routing_fetcher_dual_path(ray_session):

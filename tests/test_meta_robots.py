@@ -7,7 +7,7 @@ oracle; these pin the pieces."""
 import pyarrow as pa
 
 from louis_crawler_legacy_ray.functions.html_kernels import meta_robots
-from louis_crawler_legacy_ray.pipelines.crawl import _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
 
 
 def test_meta_robots_kernel():
@@ -40,18 +40,15 @@ def _items(meta):
 
 
 def test_nofollow_suppresses_candidates_only_when_obeyed():
-    on = _control_from_items(
-        _items("noindex,nofollow"), 1, {}, None, 6, obey_meta_robots=True
-    )
+    obey = RoundPolicy(n_shards=1, max_depth=6, obey_meta_robots=True)
+    on = _control_from_items(_items("noindex,nofollow"), obey)
     assert on.filter(pa.compute.equal(on["kind"], "c")).num_rows == 0
     assert on.filter(pa.compute.equal(on["kind"], "f")).num_rows == 1
     # noindex alone never touches the frontier
-    ni = _control_from_items(
-        _items("noindex"), 1, {}, None, 6, obey_meta_robots=True
-    )
+    ni = _control_from_items(_items("noindex"), obey)
     assert ni.filter(pa.compute.equal(ni["kind"], "c")).num_rows == 2
     # flag off: directives in the corpus are inert
     off = _control_from_items(
-        _items("noindex,nofollow"), 1, {}, None, 6, obey_meta_robots=False
+        _items("noindex,nofollow"), RoundPolicy(n_shards=1, max_depth=6)
     )
     assert off.filter(pa.compute.equal(off["kind"], "c")).num_rows == 2

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -34,7 +34,7 @@ def test_control_builder_splits_cash_exactly():
             "cash": pa.array([1000], pa.int64()),
         }
     )
-    ctrl = _control_from_items(items, 1, {}, None, 6)
+    ctrl = _control_from_items(items, RoundPolicy(n_shards=1, max_depth=6))
     c = ctrl.filter(pc.equal(ctrl["kind"], "c"))
     got = dict(zip(c["url"].to_pylist(), c["cash"].to_pylist()))
     assert got == {"http://h/c1": 334, "http://h/c2": 333, "http://h/c3": 333}
@@ -42,7 +42,9 @@ def test_control_builder_splits_cash_exactly():
     assert ctrl.filter(pc.equal(ctrl["kind"], "f"))["cash"].to_pylist() == [0]
     # non-opic items (no cash column) keep the pre-opic control shape:
     # no cash column, no extra bytes on the candidate stream
-    ctrl0 = _control_from_items(items.drop_columns(["cash"]), 1, {}, None, 6)
+    ctrl0 = _control_from_items(
+        items.drop_columns(["cash"]), RoundPolicy(n_shards=1, max_depth=6)
+    )
     assert "cash" not in ctrl0.column_names
 
 

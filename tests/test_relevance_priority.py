@@ -7,7 +7,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -44,14 +44,16 @@ def test_control_builder_scores_candidates_from_content():
             ),
         }
     )
-    ctrl = _control_from_items(items, 1, {}, None, 6, relevance_keyword="maple")
+    ctrl = _control_from_items(
+        items, RoundPolicy(n_shards=1, max_depth=6, relevance_keyword="maple")
+    )
     c = ctrl.filter(pc.equal(ctrl["kind"], "c"))
     got = dict(zip(c["url"].to_pylist(), c["cash"].to_pylist()))
     assert got == {"http://h/c1": 2, "http://h/c2": 2, "http://h/c3": 0}
     assert c.num_rows == 3  # nav-dup collapsed
     assert ctrl.filter(pc.equal(ctrl["kind"], "f"))["cash"].to_pylist() == [0, 0]
     # without the keyword the control shape is unchanged (no column)
-    ctrl0 = _control_from_items(items, 1, {}, None, 6)
+    ctrl0 = _control_from_items(items, RoundPolicy(n_shards=1, max_depth=6))
     assert "cash" not in ctrl0.column_names
 
 

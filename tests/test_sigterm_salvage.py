@@ -49,8 +49,7 @@ def _order_table(ckpt: str) -> pa.Table:
 def _cmd(d, seed, ckpt, extra=()):
     return [
         sys.executable, "tools/crawl_job.py", "--pages", d, "--seeds", seed,
-        "--checkpoint", ckpt, "--shards", "2", "--max-depth", "10",
-        "--inline-threshold", "0", *extra,
+        "--checkpoint", ckpt, "--shards", "2", "--max-depth", "10", *extra,
     ]
 
 

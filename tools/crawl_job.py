@@ -54,10 +54,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fault injection: stagger round tasks (kill/salvage tests)",
     )
     p.add_argument(
-        "--inline-threshold", type=int, default=64,
-        help="rounds at or under this size run driver-inline",
-    )
-    p.add_argument(
         "--obey-robots", action="store_true",
         help="honor robots.txt Disallow rules discovered in the corpus",
     )
@@ -144,7 +140,6 @@ def main(argv: list[str] | None = None) -> int:
         mode=args.mode,
         checkpoint_dir=args.checkpoint,
         task_delay_ms=args.task_delay_ms,
-        inline_round_threshold=args.inline_threshold,
         robots_txt_by_host=robots_by_host,
         obey_robots=args.obey_robots,
         robots_matcher=args.robots_matcher,

@@ -1176,7 +1176,7 @@ def q_crawl_pages_bfs_budget(sf_dir: str):
     (BASELINE north_rule: "same crawl ordering and URL-seen set under
     the same seed list and politeness budget"; VERDICT r2 next-3): a
     token-bucket crawl (per_host_budget=5, burst 2x, banked carry —
-    state/seen.py take2) whose FULL (round, depth, url) schedule is
+    state/seen.py take) whose FULL (round, depth, url) schedule is
     recomputed by a DuckDB round-by-round simulation. The synthetic
     corpus is single-host, so the per-host bucket is the global
     schedule: cap_r = min(burst, banked+refill), banked' = cap - used,

@@ -148,22 +148,26 @@ def import_legacy_state(
     for shard, part in zip(frontier.shards, per_shard):
         loads.append(
             shard.load.remote(
-                pa.table({"url": pa.array(sorted(part["seen"]), pa.string())}),
-                pa.table(
-                    {
-                        "url": pa.array(part["p_url"], pa.string()),
-                        "depth": pa.array(part["p_depth"], pa.int32()),
-                        "host": pa.array(part["p_host"], pa.string()),
-                    }
-                ),
-                pa.table(
-                    {
-                        "url": pa.array(sorted(part["err"]), pa.string()),
-                        "error": pa.array(
-                            [error_label] * len(part["err"]), pa.string()
-                        ),
-                    }
-                ),
+                {
+                    "seen": pa.table(
+                        {"url": pa.array(sorted(part["seen"]), pa.string())}
+                    ),
+                    "pending": pa.table(
+                        {
+                            "url": pa.array(part["p_url"], pa.string()),
+                            "depth": pa.array(part["p_depth"], pa.int32()),
+                            "host": pa.array(part["p_host"], pa.string()),
+                        }
+                    ),
+                    "errored": pa.table(
+                        {
+                            "url": pa.array(sorted(part["err"]), pa.string()),
+                            "error": pa.array(
+                                [error_label] * len(part["err"]), pa.string()
+                            ),
+                        }
+                    ),
+                }
             )
         )
     ray.get(loads)

@@ -6,15 +6,16 @@ the layout the north_rule asks for:
 
     ckpt_dir/
       round=000003/
-        shard=0000/{seen,pending,errored}.parquet
-        ...
+        shard=0000/<table>.parquet   <- one file per FrontierShard.dump()
+        ...                             table (the shard owns the set)
         _lineage.json        <- written LAST via temp+rename: the commit
                                 marker {round, config_hash, counts}
 
 A round directory without ``_lineage.json`` is incomplete and ignored
-by resume (atomicity). Note: empty tables ARE written (a round with
-zero errored urls still checkpoints an empty errored.parquet) — a
-completed round is detected by its manifest, never by file presence.
+by resume (atomicity). Note: the always-present tables are written even
+when empty (a round with zero errored urls still checkpoints an empty
+errored.parquet) — a completed round is detected by its manifest, never
+by file presence.
 """
 
 from __future__ import annotations
@@ -55,36 +56,13 @@ def write_checkpoint(
     os.makedirs(tmp, exist_ok=True)
     dumps = ray.get([s.dump.remote() for s in shards])
     counts = {"seen": 0, "pending": 0, "errored": 0}
-    for d in dumps:
-        sdir = os.path.join(tmp, f"shard={d['shard']:04d}")
+    for i, tables in enumerate(dumps):
+        sdir = os.path.join(tmp, f"shard={i:04d}")
         os.makedirs(sdir, exist_ok=True)
-        for name in ("seen", "pending", "errored"):
-            pq.write_table(d[name], os.path.join(sdir, f"{name}.parquet"))
-            counts[name] += d[name].num_rows
-        # politeness carry (token_bucket banked tokens) rides the same
-        # per-shard dump so resumed crawls schedule identically
-        if "host_tokens" in d:
-            pq.write_table(
-                d["host_tokens"], os.path.join(sdir, "host_tokens.parquet")
-            )
-        # transient-failure backoff state (written only when non-empty:
-        # retry-free crawls keep the r3 checkpoint layout byte-for-byte)
-        if d.get("retries") is not None and d["retries"].num_rows:
-            pq.write_table(d["retries"], os.path.join(sdir, "retries.parquet"))
-        # live citation counts (backlink_desc adaptive priority)
-        if d.get("backlinks") is not None and d["backlinks"].num_rows:
-            pq.write_table(
-                d["backlinks"], os.path.join(sdir, "backlinks.parquet")
-            )
-        # live OPIC cash accounts (opic adaptive priority)
-        if d.get("cash") is not None and d["cash"].num_rows:
-            pq.write_table(d["cash"], os.path.join(sdir, "cash.parquet"))
-        # a salvaged partial round's unfetched remainder (SIGTERM
-        # salvage): the resumed round re-takes exactly these rows
-        if "resume_sel" in d:
-            pq.write_table(
-                d["resume_sel"], os.path.join(sdir, "resume_sel.parquet")
-            )
+        for name, table in tables.items():
+            pq.write_table(table, os.path.join(sdir, f"{name}.parquet"))
+        for name in counts:
+            counts[name] += tables[name].num_rows
     with open(os.path.join(tmp, "_lineage.json.tmp"), "w") as f:
         json.dump(
             {
@@ -166,37 +144,18 @@ def clear_partial(ckpt_dir: str, round_no: int) -> None:
 def load_checkpoint(
     ckpt_dir: str, round_no: int, shards: list, partial: bool = False
 ) -> None:
-    """Restore every shard from a complete round's dump."""
+    """Restore every shard from a complete round's dump: every
+    parquet file in a shard dir is one table of its ``load`` dict."""
     rdir = _round_dir(ckpt_dir, round_no) + (".partial" if partial else "")
     loads = []
     for i, shard in enumerate(shards):
         sdir = os.path.join(rdir, f"shard={i:04d}")
         tables = {
-            name: pq.read_table(os.path.join(sdir, f"{name}.parquet"))
-            for name in ("seen", "pending", "errored")
+            name[: -len(".parquet")]: pq.read_table(os.path.join(sdir, name))
+            for name in os.listdir(sdir)
+            if name.endswith(".parquet")
         }
-        ht_path = os.path.join(sdir, "host_tokens.parquet")
-        host_tokens = pq.read_table(ht_path) if os.path.exists(ht_path) else None
-        rs_path = os.path.join(sdir, "resume_sel.parquet")
-        resume_sel = pq.read_table(rs_path) if os.path.exists(rs_path) else None
-        rt_path = os.path.join(sdir, "retries.parquet")
-        retries = pq.read_table(rt_path) if os.path.exists(rt_path) else None
-        bl_path = os.path.join(sdir, "backlinks.parquet")
-        backlinks = pq.read_table(bl_path) if os.path.exists(bl_path) else None
-        ca_path = os.path.join(sdir, "cash.parquet")
-        cash = pq.read_table(ca_path) if os.path.exists(ca_path) else None
-        loads.append(
-            shard.load.remote(
-                tables["seen"],
-                tables["pending"],
-                tables["errored"],
-                host_tokens,
-                resume_sel,
-                retries,
-                backlinks,
-                cash,
-            )
-        )
+        loads.append(shard.load.remote(tables))
     ray.get(loads)
 
 

@@ -14,8 +14,8 @@ budget* (SURVEY §2.3 T5):
 :class:`PolitenessPolicy` performs that derivation so the knobs keep
 the reference's vocabulary; the budget feeds ``CrawlConfig.
 per_host_budget`` and is enforced inside each host-sharded
-FrontierShard's ``take`` (state colocated with the host's queue —
-north_rule). The AutoThrottle *feedback* (slow host -> longer delay) is
+FrontierShard's ``take(round_no)``, which reads it from the shard's
+``CrawlConfig`` (state colocated with the host's queue — north_rule). The AutoThrottle *feedback* (slow host -> longer delay) is
 modeled by :meth:`PolitenessPolicy.observe_latency`.
 
 :class:`RobotsCache` is the per-host robots.txt cache (stdlib

@@ -13,11 +13,18 @@ actor (north_rule: hash-partition by host; SURVEY §2.3 T4/T5).
 URL lifecycle inside a shard (mirrors goldie_playwright_parallel.py
 enqueue/take semantics, :606-664):
 
-    enqueue(url, depth):  dropped if url ∈ seen ∪ errored ∪ pending
-                          ∪ in_flight, else appended to pending
-    take(...):            pending sorted by (depth, url); per-host
+    enqueue(urls, depths, hosts):  dropped if url ∈ seen ∪ errored ∪
+                          pending ∪ in_flight, else appended to pending
+    take(round_no):       pending sorted by the priority key; per-host
                           budget applied; selected move to in_flight
-    settle(ok, bad):      in_flight -> seen (fetched) or errored
+    record_fetched(urls): in_flight -> seen
+    finish_round(round_no): what is still in_flight -> errored (or a
+                          retry slot); the round's order part is emitted
+
+A shard is built from the crawl's ``CrawlConfig`` (its
+``priority_scores`` cut to this shard's slice) and reads every budget,
+limit, priority and retry setting from it. ``dump()`` / ``load()`` are
+the checkpoint format: the table set, keyed by parquet file stem.
 
 Memory modes:
   * ``exact``  — Python sets of URL strings (test scale; the semantics
@@ -41,9 +48,14 @@ from __future__ import annotations
 
 import hashlib
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import pyarrow as pa
 import ray
+
+if TYPE_CHECKING:
+    from ..pipelines.crawl import CrawlConfig
 
 
 def host_of(url: str) -> str:
@@ -200,68 +212,44 @@ class FrontierShard:
     (8 shards x 0.25 CPU consumed an entire 2-CPU cluster). They burst
     briefly per round; the scheduler handles that fine unreserved."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        mode: str = "exact",
-        bloom_bits: int = 1 << 24,
-        robots_txt_by_host: dict | None = None,
-        obey_robots: bool = False,
-        priority_scores: dict | None = None,
-        deny_url_patterns: list | None = None,
-        track_backlinks: bool = False,
-        track_cash: bool = False,
-        robots_matcher: str = "stdlib",
-        ip_groups: dict | None = None,
-        cash_combine: str = "sum",
-    ):
-        self.reset(
-            shard_id, mode, bloom_bits, robots_txt_by_host, obey_robots,
-            priority_scores, deny_url_patterns, track_backlinks, track_cash,
-            robots_matcher, ip_groups, cash_combine,
-        )
+    def __init__(self, shard_id: int, cfg: "CrawlConfig"):
+        self.reset(shard_id, cfg)
 
-    def reset(
-        self,
-        shard_id: int,
-        mode: str = "exact",
-        bloom_bits: int = 1 << 24,
-        robots_txt_by_host: dict | None = None,
-        obey_robots: bool = False,
-        priority_scores: dict | None = None,
-        deny_url_patterns: list | None = None,
-        track_backlinks: bool = False,
-        track_cash: bool = False,
-        robots_matcher: str = "stdlib",
-        ip_groups: dict | None = None,
-        cash_combine: str = "sum",
-    ) -> None:
+    def reset(self, shard_id: int, cfg: "CrawlConfig") -> None:
         """Full re-initialization — lets a crawl REUSE a pooled shard
         actor from a previous crawl (actor spawn + Ray's one-time
         Arrow-serializer warmup cost ~0.5 s per fresh process, paid in
-        round 0 otherwise). Every field is rebuilt; nothing survives."""
-        assert mode in ("exact", "approx", "cuckoo")
+        round 0 otherwise). Every field is rebuilt; nothing survives.
+
+        ``cfg`` is the crawl's config with ``priority_scores`` cut to
+        THIS shard's slice ('score_desc': the Frontier splits the map
+        by shard_of, so each shard holds only the scores of URLs it can
+        own — O(frontier / n_shards) per actor, the same partitioning
+        as pending/seen)."""
+        assert cfg.mode in ("exact", "approx", "cuckoo")
         import re as _re
 
         from .politeness import RobotsCache
 
         self.shard_id = shard_id
-        self.mode = mode
+        self.cfg = cfg
         # robots cache colocated with the host's queue (T5); default-off
         # to match the reference's ROBOTSTXT_OBEY = False (settings.py:19)
         self.robots = RobotsCache(
-            robots_txt_by_host, obey_robots=obey_robots, matcher=robots_matcher
+            cfg.robots_txt_by_host,
+            obey_robots=cfg.obey_robots,
+            matcher=cfg.robots_matcher,
         )
         # trap guard: URL regexes quarantined at admission (the
         # crawl_traps detector's output feeds this — Heritrix-style
         # pattern caps); compiled ONCE per shard actor, not per batch
-        self.deny_rx = [_re.compile(p) for p in (deny_url_patterns or [])]
+        self.deny_rx = [_re.compile(p) for p in (cfg.deny_url_patterns or [])]
         # online backlink counts (priority='backlink_desc' — the
         # Cho/Garcia-Molina/Page 1998 backlink ordering metric computed
         # ADAPTIVELY: every admission or pending rediscovery of a URL
         # bumps its count, so the frontier re-ranks as citations
         # accumulate). Opt-in: the bump sits in the hot enqueue loop.
-        self.track_backlinks = track_backlinks
+        self.track_backlinks = cfg.priority == "backlink_desc"
         self.backlinks: dict[str, int] = {}
         # OPIC cash accounts (priority='opic' — Abiteboul/Preda/Cobena
         # 2003 Online Page Importance Computation, greedy variant: the
@@ -270,23 +258,17 @@ class FrontierShard:
         # micro-cash (seed = CrawlConfig.opic_cash, ceil/floor splits)
         # so accumulation is exact and commutative — float cash would
         # make the rank order depend on RPC landing order.
-        self.track_cash = track_cash
+        self.track_cash = cfg.priority in ("opic", "relevance_desc")
         self.cash: dict[str, int] = {}
         # how candidate scores fold into an account: 'sum' (OPIC cash
         # shares) or 'max' (priority='relevance_desc' — shark-search-
         # style focused crawl: a URL ranks by the BEST content score
         # among the fetched parents that linked it; max is commutative
         # and idempotent, so RPC landing order and nav-dup re-sends
-        # stay irrelevant). Selection-time cash only rides the take2
-        # parts under 'sum' (OPIC splits it); 'max' scores are computed
-        # fresh from each fetched page's content, nothing to freeze.
-        assert cash_combine in ("sum", "max")
-        self.cash_combine = cash_combine
-        # 'score_desc' priority: THIS SHARD'S slice of the per-URL
-        # score map (the Frontier splits the map by shard_of, so each
-        # shard holds only the scores of URLs it can own — O(frontier /
-        # n_shards) per actor, the same partitioning as pending/seen)
-        self.priority_scores: dict = priority_scores or {}
+        # stay irrelevant). Selection-time cash only rides the
+        # selection parts under 'sum' (OPIC splits it); 'max' scores
+        # are computed fresh from each fetched page's content.
+        self.cash_combine = "max" if cfg.priority == "relevance_desc" else "sum"
         self.seen: set[str] = set()
         self.errored: dict[str, str] = {}
         self.in_flight: set[str] = set()
@@ -296,7 +278,7 @@ class FrontierShard:
         # transient-failure retry state (CrawlConfig.max_retries > 0):
         # url -> (depth, host, failures, avail_round). A failed fetch
         # waits out its exponential backoff here instead of being
-        # quarantined; take2 admits entries whose avail_round has
+        # quarantined; take admits entries whose avail_round has
         # arrived. retry_fails carries the failure count while the URL
         # is back in flight so the NEXT failure keeps escalating.
         self.retrying: dict[str, tuple[int, str, int, int]] = {}
@@ -305,30 +287,28 @@ class FrontierShard:
         # deletion — TTL recrawl / host purges at 10^10 scale); both
         # share the add/maybe_contains API and keep the exact backing
         # at test scale (see module docstring)
-        if mode == "approx":
-            self.bloom = _Bloom(bloom_bits)
-        elif mode == "cuckoo":
-            # bloom_bits sizes the cuckoo too: 4 x uint16 slots/bucket
-            self.bloom = _Cuckoo(max(1 << 10, bloom_bits >> 6))
+        if cfg.mode == "approx":
+            self.bloom = _Bloom()
+        elif cfg.mode == "cuckoo":
+            # the bloom's 2 MB: 2^18 buckets x 4 uint16 slots
+            self.bloom = _Cuckoo(1 << 18)
         else:
             self.bloom = None
-        # vhost->group co-binding (Heritrix ip-based queues): hosts
-        # mapped to one group key SHARE a politeness budget / token
-        # bucket. Routing (pipelines.crawl.shard_of) keys grouped hosts
-        # by the GROUP, so a group's whole queue state lives in this
-        # shard and the shared cap is enforceable locally.
-        self.ip_groups: dict[str, str] = ip_groups or {}
         # politeness token-bucket state: budget-key -> unspent tokens
         # carried between rounds (north_rule: "per-host politeness
         # token-bucket"; colocated with the host's queue because shards
         # key by host). Budget key = host, or its ip_groups group.
         self.host_tokens: dict[str, int] = {}
-        # burst cap of the LAST token_bucket take (None = flat budget):
-        # requeue() needs it to refund tokens for URLs the driver's
+        # burst cap of the token bucket (None = flat budget):
+        # truncate_selection() refunds tokens for URLs the driver's
         # global round cap handed back (ADVICE r2: without the refund,
         # throttled hosts permanently lose tokens for URLs they never
         # fetched, under-delivering vs the documented long-run rate)
-        self._tb_burst: int | None = None
+        self._tb_burst: int | None = (
+            2 * cfg.per_host_budget
+            if cfg.politeness == "token_bucket" and cfg.per_host_budget is not None
+            else None
+        )
         # delivery counters for fire-and-forget task->shard RPCs: the
         # driver reconciles these against per-task sent counts instead
         # of shipping control rows through itself
@@ -340,7 +320,7 @@ class FrontierShard:
         self._sel: tuple[list, list, list] | None = None  # (urls, depths, hosts)
         self._sel_keys: list[tuple[int, str]] | None = None
         # SIGTERM-salvaged remainder of an interrupted round: the next
-        # take2 must return EXACTLY these rows (not whatever pending
+        # take must return EXACTLY these rows (not whatever pending
         # holds, which may already include next-depth candidates from
         # the round's completed tasks) so a resumed crawl reproduces
         # the uninterrupted schedule
@@ -355,26 +335,33 @@ class FrontierShard:
     # -- ingest ------------------------------------------------------
     def enqueue(
         self,
-        urls: list[str],
-        depths: list[int],
-        hosts: list[str],
-        cash: list[int] | None = None,
+        urls: pa.Array,
+        depths: pa.Array,
+        hosts: pa.Array,
+        cash: pa.Array | None = None,
     ) -> int:
         """Admit candidate URLs to pending; returns number admitted.
         Drop rule = reference's quadruple-set check
-        (goldie_playwright_parallel.py:606-617, 656-663). (A C-level
-        set-difference variant was measured SLOWER than this loop — the
-        batch dict build dominates; the loop stays.)
+        (goldie_playwright_parallel.py:606-617, 656-663). Arrow arrays
+        in (zero-copy through plasma; the per-URL set work happens here,
+        in parallel across shards). (A C-level set-difference variant
+        was measured SLOWER than this loop — the batch dict build
+        dominates; the loop stays.)
 
         ``cash`` (priority='opic' only) carries each candidate row's
         OPIC share — the slice of its parent's frozen cash the control
         builder computed; shares sum into the URL's account while it is
         pending and vanish once it is selected/seen/quarantined (the
         paper's "cash of an already-read page goes to history")."""
+        self.recv_candidates += len(urls)
         added = 0
         if cash is None or not self.track_cash:
             cash = _ZERO_CASH
-        for i, (url, depth, host) in enumerate(zip(urls, depths, hosts)):
+        else:
+            cash = cash.to_pylist()
+        for i, (url, depth, host) in enumerate(
+            zip(urls.to_pylist(), depths.to_pylist(), hosts.to_pylist())
+        ):
             if self.deny_rx and any(rx.search(url) for rx in self.deny_rx):
                 # trap-pattern quarantine: same terminal handling as a
                 # robots disallow — never enqueued, never retried
@@ -440,101 +427,89 @@ class FrontierShard:
             added += 1
         return added
 
+    def record_fetched(self, urls: pa.Array) -> None:
+        """in_flight -> seen for successfully fetched URLs. Called from
+        parallel map tasks as results stream in (idempotent). C-level
+        set ops, no per-URL loop."""
+        self.recv_fetched += len(urls)
+        s = set(urls.to_pylist())
+        self.in_flight -= s
+        self.seen |= s
+        if self.retry_fails:
+            # a retried URL finally fetched: its failure count is done
+            for u in s.intersection(self.retry_fails):
+                del self.retry_fails[u]
+
     # -- scheduling --------------------------------------------------
     def _bkey(self, host: str) -> str:
         """Politeness BUDGET key for a host: itself, unless ip_groups
         binds it to a server group (vhosts sharing one origin server
         share one budget / token bucket — Heritrix's ip-based frontier
-        queues). Pure and config-stable, so checkpointed host_tokens
-        keys stay valid across resume (config_hash covers ip_groups)."""
-        g = self.ip_groups
+        queues). Routing (pipelines.crawl.shard_of) keys grouped hosts
+        by the GROUP, so a group's whole queue state lives in this shard
+        and the shared cap is enforceable locally. Pure and
+        config-stable, so checkpointed host_tokens keys stay valid
+        across resume (config_hash covers ip_groups)."""
+        g = self.cfg.ip_groups
         return g.get(host, host) if g else host
 
-    def take(
-        self,
-        max_depth: int | None = None,
-        per_host_budget: int | None = None,
-        limit: int | None = None,
-        politeness: str = "budget",
-        priority: str = "depth_url",
-        host_budgets: dict | None = None,
-        round_no: int = 0,
-    ) -> pa.Table:
-        """Select the next fetch batch: pending sorted by (depth, url)
-        — the BFS priority order (O1, goldie_playwright_parallel.py:
-        647-664, made deterministic per SURVEY §2.10) — capped per host
-        (politeness) and optionally overall. Selected URLs move to
-        in_flight; the rest stay pending for a later round.
-
-        ``politeness='budget'`` is a flat per-round cap (the
-        AutoThrottle-derived budget). ``politeness='token_bucket'`` is
-        the north_rule's literal token bucket: a host's bucket refills
-        by ``per_host_budget`` tokens at each round it has pending
-        work, capped at a burst of 2x, and UNSPENT tokens carry — a
-        host whose queue was throttled below its refill one round may
-        burst above the flat cap the next, while its long-run rate
-        stays <= per_host_budget/round. Bucket state lives in this
-        shard because hosts are sharded here."""
-        self.take2(
-            max_depth=max_depth,
-            per_host_budget=per_host_budget,
-            limit=limit,
-            politeness=politeness,
-            priority=priority,
-            host_budgets=host_budgets,
-            round_no=round_no,
-        )
-        return self._sel_table()
-
-    def take2(
-        self,
-        max_depth: int | None = None,
-        per_host_budget: int | None = None,
-        limit: int | None = None,
-        politeness: str = "budget",
-        priority: str = "depth_url",
-        host_budgets: dict | None = None,
-        round_no: int = 0,
-    ) -> dict:
-        """Same selection semantics as ``take`` but the selection stays
-        HELD in this shard — the driver receives only ``{"count": n}``
-        and steers the round through probes (sel_ranks / sel_sample /
+    def take(self, round_no: int) -> dict:
+        """Select round ``round_no``'s fetch batch and HOLD it in this
+        shard: the driver receives only ``{"count": n}`` and steers the
+        round through probes (sel_ranks / sel_sample /
         truncate_selection) and refs (selection_part), so no table
         proportional to the round ever crosses to the driver (r3
         distributed round control plane).
 
-        ``priority`` picks the frontier ORDER key (reference O1
-        generalized beyond FIFO-BFS): 'depth_url' is the default
-        (depth, url); 'short_url_first' is (depth, len(url), url) —
-        the classic shallow-page-first crawl heuristic. The key is a
-        pure URL function, so every probe (sel_ranks / sel_sample /
-        truncate) and the driver's k-th-key threshold work on the
-        same tuples unchanged."""
-        token_bucket0 = politeness == "token_bucket" and per_host_budget is not None
+        Pending (plus retry entries whose backoff has elapsed) is
+        sorted by the ``cfg.priority`` key — the BFS (depth, url) order
+        by default (O1, goldie_playwright_parallel.py:647-664, made
+        deterministic per SURVEY §2.10); the key is a pure URL function
+        (see _sel_key), so every probe and the driver's k-th-key
+        threshold work on the same tuples. ``cfg.max_depth`` bounds
+        it, ``cfg.round_limit`` caps it and a per-host budget applies;
+        selected URLs move to in_flight, the rest stay pending.
+
+        ``politeness='budget'`` is a flat per-round cap
+        (``per_host_budget``, or the host's ``host_budgets`` override).
+        ``politeness='token_bucket'`` is the north_rule's literal token
+        bucket: a host's bucket refills by ``per_host_budget`` tokens
+        at each round it has pending work, capped at a burst of 2x, and
+        UNSPENT tokens carry — a host whose queue was throttled below
+        its refill one round may burst above the flat cap the next,
+        while its long-run rate stays <= per_host_budget/round."""
+        cfg = self.cfg
         # 'backlink_desc' ranks by the shard's LIVE citation counts,
-        # 'opic' by its LIVE cash accounts; every other priority uses
-        # the static config score map
-        if priority == "backlink_desc":
+        # 'opic' / 'relevance_desc' by its LIVE cash accounts; every
+        # other priority uses the static config score map
+        if cfg.priority == "backlink_desc":
             score_map = self.backlinks
-        elif priority in ("opic", "relevance_desc"):
+        elif self.track_cash:
             score_map = self.cash
         else:
-            score_map = self.priority_scores
+            score_map = cfg.priority_scores or {}
         if self._resume_sel is not None:
             # resumed partial round: re-take EXACTLY the salvaged
             # remainder (already in_flight, tokens already spent,
             # order already key-sorted)
-            urls, depths, hosts = self._resume_sel
-            self._resume_sel = None
-            self._tb_burst = 2 * per_host_budget if token_bucket0 else None
-            self._sel = (urls, depths, hosts)
-            self._sel_keys = [
-                _sel_key(priority, d, u, score_map)
-                for d, u in zip(depths, urls)
-            ]
-            return {"count": len(urls)}
+            self._sel, self._resume_sel = self._resume_sel, None
+        else:
+            self._sel = self._select(round_no, score_map)
+        # selection stays shard-side, sorted by the priority key, for
+        # rank probes and the order part
+        self._sel_keys = [
+            _sel_key(cfg.priority, d, u, score_map)
+            for d, u in zip(self._sel[1], self._sel[0])
+        ]
+        return {"count": len(self._sel[0])}
+
+    def _select(self, round_no: int, score_map: dict) -> tuple[list, list, list]:
         import itertools as _it
 
+        cfg = self.cfg
+        max_depth = cfg.max_depth
+        per_host_budget = cfg.per_host_budget
+        limit = cfg.round_limit
         # retry entries whose backoff has elapsed compete in the same
         # priority order as fresh pending URLs (they keep their original
         # discovery depth); not-yet-due entries stay in retrying
@@ -546,21 +521,18 @@ class FrontierShard:
         items = sorted(
             _it.chain(
                 (
-                    (_sel_key(priority, depth, url, score_map), url, depth, host)
+                    (_sel_key(cfg.priority, depth, url, score_map), url, depth, host)
                     for url, (depth, host) in self.pending.items()
                     if max_depth is None or depth <= max_depth
                 ),
                 (
-                    (_sel_key(priority, d, u, score_map), u, d, h)
+                    (_sel_key(cfg.priority, d, u, score_map), u, d, h)
                     for u, (d, h, _f, _a) in due
                 ),
             ),
         )
-        token_bucket = politeness == "token_bucket" and per_host_budget is not None
-        self._tb_burst = 2 * per_host_budget if token_bucket else None
-        if token_bucket:
-            burst = self._tb_burst
-            caps: dict[str, int] = {}
+        token_bucket = self._tb_burst is not None
+        caps: dict[str, int] = {}
         sel_urls: list[str] = []
         sel_depths: list[int] = []
         sel_hosts: list[str] = []
@@ -571,7 +543,7 @@ class FrontierShard:
         # Flat-budget politeness only: the token bucket keeps one
         # global refill (its carry/burst refunds are clamped by a
         # single _tb_burst).
-        overrides = host_budgets if not token_bucket else None
+        overrides = cfg.host_budgets if not token_bucket else None
         for _key, url, depth, host in items:
             if limit is not None and len(sel_urls) >= limit:
                 break
@@ -586,7 +558,8 @@ class FrontierShard:
                     cap = caps.get(bk)
                     if cap is None:
                         cap = min(
-                            burst, self.host_tokens.get(bk, 0) + per_host_budget
+                            self._tb_burst,
+                            self.host_tokens.get(bk, 0) + per_host_budget,
                         )
                         caps[bk] = cap
                 else:
@@ -601,11 +574,10 @@ class FrontierShard:
             sel_urls.append(url)
             sel_depths.append(depth)
             sel_hosts.append(host)
-        if token_bucket:
-            # bank every refilled host's unspent tokens (hosts touched
-            # this round only; an absent host's bucket refills lazily)
-            for host, cap in caps.items():
-                self.host_tokens[host] = cap - host_counts.get(host, 0)
+        # bank every refilled host's unspent tokens (hosts touched this
+        # round only; an absent host's bucket refills lazily)
+        for host, cap in caps.items():
+            self.host_tokens[host] = cap - host_counts.get(host, 0)
         for url in sel_urls:
             if url in self.pending:
                 del self.pending[url]
@@ -615,43 +587,7 @@ class FrontierShard:
                 _d, _h, fails, _avail = self.retrying.pop(url)
                 self.retry_fails[url] = fails
             self.in_flight.add(url)
-        # selection stays shard-side, sorted by the priority key — the
-        # `items` iteration order — for rank probes and the order part
-        self._sel = (sel_urls, sel_depths, sel_hosts)
-        self._sel_keys = [
-            _sel_key(priority, d, u, score_map)
-            for d, u in zip(sel_depths, sel_urls)
-        ]
-        return {"count": len(sel_urls)}
-
-    def _sel_table(self) -> pa.Table:
-        urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
-        t = pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "depth": pa.array(depths, pa.int32()),
-                "host": pa.array(hosts, pa.string()),
-            }
-        )
-        if self._emit_cash():
-            # each selected URL's FROZEN cash rides to the round tasks,
-            # which split it over the page's distinct out-links (the
-            # account can't move while the URL is in_flight, so this is
-            # the selection-time value by construction)
-            t = t.append_column(
-                "cash",
-                pa.array((self.cash.get(u, 0) for u in urls), pa.int64()),
-            )
-        return t
-
-    def _emit_cash(self) -> bool:
-        """Whether selection parts carry a frozen ``cash`` column: only
-        OPIC (sum-combine) needs it — the round tasks split it over the
-        page's out-links. relevance_desc (max-combine) computes each
-        candidate's score fresh from the fetched parent's content, so
-        nothing rides (and a riding column would wrongly engage the
-        control builder's OPIC split path)."""
-        return self.track_cash and self.cash_combine == "sum"
+        return sel_urls, sel_depths, sel_hosts
 
     # -- round-selection probes (driver cap without driver rows) ------
     def sel_ranks(self, keys: list[tuple[int, str]]) -> list[int]:
@@ -665,7 +601,8 @@ class FrontierShard:
     def sel_sample(self, lo, hi, k: int) -> list[tuple[int, str]]:
         """Up to k evenly spaced selection keys in (lo, hi], always
         including the last one — the candidate thresholds for the
-        driver's iterative global-cap refinement."""
+        driver's iterative global-cap refinement. When (lo, hi] holds
+        at most k keys, ALL of them (the driver's final exact pick)."""
         import bisect
 
         sk = self._sel_keys or []
@@ -680,21 +617,14 @@ class FrontierShard:
         idx = sorted({a + int((i + 1) * step) - 1 for i in range(k)} | {b - 1})
         return [sk[i] for i in idx]
 
-    def sel_keys_range(self, lo, hi) -> list[tuple[int, str]]:
-        """All selection keys in (lo, hi] — called by the driver only
-        once the refinement has shrunk the gap below its fetch bound."""
-        import bisect
-
-        sk = self._sel_keys or []
-        a = bisect.bisect_right(sk, tuple(lo)) if lo is not None else 0
-        b = bisect.bisect_right(sk, tuple(hi)) if hi is not None else len(sk)
-        return sk[a:b]
-
     def truncate_selection(self, t_key: tuple[int, str]) -> int:
         """Keep only selection rows with key <= t_key; the tail goes
         BACK to pending in this shard (local requeue — the global
-        round_limit overflow never round-trips through the driver),
-        with token refunds exactly like requeue(). Returns kept count."""
+        round_limit overflow never round-trips through the driver).
+        Under token_bucket politeness take charged a token per selected
+        URL; the returned URLs are credited back (bounded by the burst
+        cap) so throttled hosts keep their documented long-run rate of
+        per_host_budget/round. Returns kept count."""
         import bisect
 
         if self._sel is None:
@@ -721,54 +651,125 @@ class FrontierShard:
         corpus url-hash bucket and meta carries bucket -> (offset, len)
         ranges, so a fused round task zero-copy-slices exactly the
         buckets its corpus blocks can contain."""
-        urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
-        if n_buckets is None:
-            meta = {"count": len(urls), "buckets": None, "ranges": None}
-            tbl = pa.table(
-                {
-                    "url": pa.array(urls, pa.string()),
-                    "depth": pa.array(depths, pa.int32()),
-                }
-            )
-            if self._emit_cash():
-                tbl = tbl.append_column(
-                    "cash",
-                    pa.array((self.cash.get(u, 0) for u in urls), pa.int64()),
-                )
-            return meta, tbl
-        from ..sources.pages import url_bucket
+        urls, depths, _hosts = self._sel if self._sel is not None else ([], [], [])
+        meta = {"count": len(urls), "buckets": None, "ranges": None}
+        if n_buckets is not None:
+            from ..sources.pages import url_bucket
 
-        bk = np.fromiter(
-            (url_bucket(u, n_buckets) for u in urls), dtype=np.int32, count=len(urls)
-        )
-        order = np.argsort(bk, kind="stable")
-        sorted_bk = bk[order]
-        ranges: dict[int, tuple[int, int]] = {}
-        if len(sorted_bk):
-            bounds = np.flatnonzero(np.diff(sorted_bk)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [len(sorted_bk)]))
-            for s, e in zip(starts, ends):
-                ranges[int(sorted_bk[s])] = (int(s), int(e - s))
+            bk = np.fromiter(
+                (url_bucket(u, n_buckets) for u in urls),
+                dtype=np.int32,
+                count=len(urls),
+            )
+            order = np.argsort(bk, kind="stable")
+            sorted_bk = bk[order]
+            ranges: dict[int, tuple[int, int]] = {}
+            if len(sorted_bk):
+                bounds = np.flatnonzero(np.diff(sorted_bk)) + 1
+                starts = np.concatenate(([0], bounds))
+                ends = np.concatenate((bounds, [len(sorted_bk)]))
+                for s, e in zip(starts, ends):
+                    ranges[int(sorted_bk[s])] = (int(s), int(e - s))
+            urls = [urls[i] for i in order]
+            depths = [depths[i] for i in order]
+            meta["buckets"] = sorted(ranges)
+            meta["ranges"] = ranges
         tbl = pa.table(
+            {"url": pa.array(urls, pa.string()), "depth": pa.array(depths, pa.int32())}
+        )
+        if self.track_cash and self.cash_combine == "sum":
+            # OPIC: each selected URL's FROZEN cash rides to the round
+            # tasks, which split it over the page's distinct out-links
+            # (the account can't move while the URL is in_flight).
+            # relevance_desc (max-combine) computes each candidate's
+            # score fresh from the fetched parent's content, so nothing
+            # rides (a riding column would wrongly engage the control
+            # builder's OPIC split path).
+            tbl = tbl.append_column(
+                "cash", pa.array((self.cash.get(u, 0) for u in urls), pa.int64())
+            )
+        return meta, tbl
+
+    # -- end of round -----------------------------------------------
+    def _order_part(
+        self, round_no: int, urls: list, depths: list, order_dir, name: str
+    ) -> pa.Table:
+        """This shard's (round, depth, url) slice of the crawl order:
+        returned as a table (test scale: it stays a driver-owned plasma
+        ref), or written to ``order_dir/round=N/<name>`` via tmp+rename
+        (the resumable layout crawl_items/metrics already use) with an
+        empty table returned."""
+        ok = pa.table(
             {
-                "url": pa.array([urls[i] for i in order], pa.string()),
-                "depth": pa.array([depths[i] for i in order], pa.int32()),
+                "round": pa.array([round_no] * len(urls), pa.int32()),
+                "depth": pa.array(depths, pa.int32()),
+                "url": pa.array(urls, pa.string()),
             }
         )
-        if self._emit_cash():
-            tbl = tbl.append_column(
-                "cash",
-                pa.array(
-                    (self.cash.get(urls[i], 0) for i in order), pa.int64()
-                ),
-            )
-        meta = {
-            "count": len(urls),
-            "buckets": sorted(ranges),
-            "ranges": ranges,
+        if order_dir is None:
+            return ok
+        import os
+        import uuid
+
+        import pyarrow.parquet as pq
+
+        part = os.path.join(order_dir, f"round={round_no:06d}")
+        os.makedirs(part, exist_ok=True)
+        tmp = os.path.join(part, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
+        pq.write_table(ok, tmp)
+        os.replace(tmp, os.path.join(part, name))
+        return ok.schema.empty_table()
+
+    def finish_round(self, round_no: int, order_dir: str | None = None):
+        """End-of-round, shard-side: quarantine still-in-flight URLs as
+        errored (the reference's 404 path) and emit THIS shard's slice
+        of the crawl order — the selection minus the failed rows.
+        Called with num_returns=2: the driver ray.gets only the small
+        stats dict; the order part is a ref or a parquet file (see
+        _order_part). Replaces the driver-side ``order_parts.append``
+        accumulation (VERDICT r2 'What's wrong' #2).
+
+        With ``cfg.max_retries > 0`` a failed fetch is TRANSIENT until
+        its failure count exceeds the cap: failure #f re-schedules the
+        URL for round ``round_no + cfg.backoff_base**f`` (exponential
+        backoff, state colocated in this shard); only failure
+        #(max_retries+1) quarantines. Retried URLs are excluded from
+        this round's order part exactly like quarantined ones."""
+        max_retries = self.cfg.max_retries
+        urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
+        failed = sorted(self.in_flight)
+        errored = []
+        if max_retries > 0 and failed:
+            selmap = {u: (d, h) for u, d, h in zip(urls, depths, hosts)}
+            for url in failed:
+                f = self.retry_fails.pop(url, 0) + 1
+                if f <= max_retries and url in selmap:
+                    d, h = selmap[url]
+                    self.retrying[url] = (
+                        d, h, f, round_no + self.cfg.backoff_base**f
+                    )
+                else:
+                    self.errored[url] = "not_found"
+                    errored.append(url)
+        else:
+            errored = failed
+            for url in errored:
+                self.errored[url] = "not_found"
+        self.in_flight.clear()
+        if failed:
+            bad = set(failed)
+            keep = [(u, d) for u, d in zip(urls, depths) if u not in bad]
+            urls = [u for u, _ in keep]
+            depths = [d for _, d in keep]
+        self._sel = None
+        self._sel_keys = None
+        stats = {
+            "errored": len(errored),
+            "ok": len(urls),
+            "retried": len(failed) - len(errored),
         }
-        return meta, tbl
+        name = f"shard-{self.shard_id:04d}.parquet"
+        return stats, self._order_part(round_no, urls, depths, order_dir, name)
 
     def salvage_round_part(
         self, round_no: int, order_dir: str | None = None, attempt: int = 0
@@ -799,176 +800,27 @@ class FrontierShard:
             [d for _, d, _ in unfetched],
             [h for _, _, h in unfetched],
         )
-        ok = pa.table(
-            {
-                "round": pa.array([round_no] * len(fetched), pa.int32()),
-                "depth": pa.array([d for _, d, _ in fetched], pa.int32()),
-                "url": pa.array([u for u, _, _ in fetched], pa.string()),
-            }
-        )
         self._sel = None
         self._sel_keys = None
-        stats = {"fetched": ok.num_rows, "deferred": len(unfetched)}
-        if order_dir is not None:
-            import os
-            import uuid
-
-            import pyarrow.parquet as pq
-
-            part = os.path.join(order_dir, f"round={round_no:06d}")
-            os.makedirs(part, exist_ok=True)
-            name = f"shard-{self.shard_id:04d}.a{attempt:02d}.parquet"
-            tmp = os.path.join(part, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
-            pq.write_table(ok, tmp)
-            os.replace(tmp, os.path.join(part, name))
-            return stats, ok.schema.empty_table()
-        return stats, ok
+        stats = {"fetched": len(fetched), "deferred": len(unfetched)}
+        name = f"shard-{self.shard_id:04d}.a{attempt:02d}.parquet"
+        return stats, self._order_part(
+            round_no,
+            [u for u, _, _ in fetched],
+            [d for _, d, _ in fetched],
+            order_dir,
+            name,
+        )
 
     def clear_resume_sel(self) -> None:
         """Drop the salvage stash. Called by run_frontier when a
         graceful stop lands AFTER every task's deliveries arrived
         (total deferred == 0): the round actually completed, the
         checkpoint is written as a normal complete round, and a stale
-        empty stash must not make the NEXT round's take2 return 0 (an
+        empty stash must not make the NEXT round's take return 0 (an
         empty resume_sel is an intentional "re-take nothing" marker
         for partial-round resume — see load())."""
         self._resume_sel = None
-
-    def finish_round_part(
-        self,
-        round_no: int,
-        order_dir: str | None = None,
-        max_retries: int = 0,
-        backoff_base: int = 2,
-    ):
-        """End-of-round, shard-side: quarantine still-in-flight URLs as
-        errored (the reference's 404 path) and emit THIS shard's slice
-        of the crawl order — the selection minus the errored rows — as
-        (round, depth, url). Called with num_returns=2: the driver
-        ray.gets only the small stats dict; the order table either
-        stays a driver-owned plasma ref (test scale) or is written
-        straight to ``order_dir/round=N/shard=i.parquet`` here (the
-        resumable layout crawl_items/metrics already use), in which
-        case the returned table is empty. Replaces the driver-side
-        ``order_parts.append`` accumulation (VERDICT r2 'What's wrong'
-        #2).
-
-        With ``max_retries > 0`` a failed fetch is TRANSIENT until its
-        failure count exceeds the cap: failure #f re-schedules the URL
-        for round ``round_no + backoff_base**f`` (exponential backoff,
-        state colocated in this shard); only failure #(max_retries+1)
-        quarantines. Retried URLs are excluded from this round's order
-        part exactly like quarantined ones."""
-        failed = sorted(self.in_flight)
-        errored = []
-        if max_retries > 0 and failed:
-            selmap = {
-                u: (d, h)
-                for u, d, h in zip(*(self._sel or ([], [], [])))
-            }
-            for url in failed:
-                f = self.retry_fails.pop(url, 0) + 1
-                if f <= max_retries and url in selmap:
-                    d, h = selmap[url]
-                    self.retrying[url] = (d, h, f, round_no + backoff_base**f)
-                else:
-                    self.errored[url] = "not_found"
-                    errored.append(url)
-        else:
-            errored = failed
-            for url in errored:
-                self.errored[url] = "not_found"
-        self.in_flight.clear()
-        urls, depths, _hosts = self._sel if self._sel is not None else ([], [], [])
-        if failed:
-            bad = set(failed)
-            keep = [(u, d) for u, d in zip(urls, depths) if u not in bad]
-            urls = [u for u, _ in keep]
-            depths = [d for _, d in keep]
-        ok = pa.table(
-            {
-                "round": pa.array([round_no] * len(urls), pa.int32()),
-                "depth": pa.array(depths, pa.int32()),
-                "url": pa.array(urls, pa.string()),
-            }
-        )
-        self._sel = None
-        self._sel_keys = None
-        stats = {
-            "errored": len(errored),
-            "ok": ok.num_rows,
-            "retried": len(failed) - len(errored),
-        }
-        if order_dir is not None:
-            import os
-            import uuid
-
-            import pyarrow.parquet as pq
-
-            part = os.path.join(order_dir, f"round={round_no:06d}")
-            os.makedirs(part, exist_ok=True)
-            tmp = os.path.join(
-                part, f".shard-{self.shard_id:04d}.tmp-{uuid.uuid4().hex[:8]}"
-            )
-            pq.write_table(ok, tmp)
-            os.replace(tmp, os.path.join(part, f"shard-{self.shard_id:04d}.parquet"))
-            return stats, ok.schema.empty_table()
-        return stats, ok
-
-    def enqueue_arrow(self, urls, depths, hosts, cash=None) -> int:
-        """Arrow-array variant of enqueue (zero-copy through plasma;
-        the per-URL set work happens here, in parallel across shards)."""
-        self.recv_candidates += len(urls)
-        return self.enqueue(
-            urls.to_pylist(),
-            depths.to_pylist(),
-            hosts.to_pylist(),
-            cash.to_pylist() if cash is not None else None,
-        )
-
-    def record_fetched_arrow(self, urls) -> None:
-        self.recv_fetched += len(urls)
-        self.record_fetched(urls.to_pylist())
-
-    def received(self) -> tuple[int, int]:
-        return (self.recv_fetched, self.recv_candidates)
-
-    def admitted_total(self) -> int:
-        """pending+seen+errored+in_flight ever admitted (for stats)."""
-        return len(self.pending) + len(self.seen) + len(self.errored) + len(self.in_flight)
-
-    def requeue(self, urls: list[str], depths: list[int], hosts: list[str]) -> int:
-        """Return un-taken URLs from in_flight to pending (the driver's
-        global round_limit slice hands back the overflow so a capped
-        round never exceeds — or silently drops — frontier URLs).
-        Under token_bucket politeness the take() charged a token per
-        selected URL; credit the returned URLs back (bounded by the
-        burst cap) so throttled hosts keep their documented long-run
-        rate of per_host_budget/round."""
-        n = 0
-        for url, depth, host in zip(urls, depths, hosts):
-            if url in self.in_flight:
-                self.in_flight.discard(url)
-                self.pending[url] = (depth, host)
-                n += 1
-                if self._tb_burst is not None:
-                    bk = self._bkey(host)
-                    self.host_tokens[bk] = min(
-                        self._tb_burst, self.host_tokens.get(bk, 0) + 1
-                    )
-        return n
-
-    def record_fetched(self, urls: list[str]) -> None:
-        """in_flight -> seen for successfully fetched URLs. Called from
-        parallel map tasks as results stream in (idempotent). C-level
-        set ops, no per-URL loop."""
-        s = set(urls)
-        self.in_flight -= s
-        self.seen |= s
-        if self.retry_fails:
-            # a retried URL finally fetched: its failure count is done
-            for u in s.intersection(self.retry_fails):
-                del self.retry_fails[u]
 
     def expire(self, urls: list[str]) -> int:
         """TTL recrawl primitive: forget that these URLs were seen so a
@@ -987,19 +839,10 @@ class FrontierShard:
                     self.bloom.delete(_h64(url))
         return n
 
-    def finish_round(self) -> list[str]:
-        """End-of-round: any URL still in flight failed to fetch —
-        quarantine to errored, never retried in-run
-        (goldie_playwright_parallel.py:831-845, 610-613). Returns the
-        newly errored URLs."""
-        errored = sorted(self.in_flight)
-        for url in errored:
-            self.errored[url] = "not_found"
-        self.in_flight.clear()
-        return errored
-
     # -- introspection / checkpoint ---------------------------------
     def counts(self) -> dict:
+        """Set sizes plus the task->shard delivery counters the driver
+        reconciles a round against (``recv_*``)."""
         return {
             "shard": self.shard_id,
             "seen": len(self.seen),
@@ -1007,12 +850,16 @@ class FrontierShard:
             "errored": len(self.errored),
             "in_flight": len(self.in_flight),
             "retrying": len(self.retrying),
+            "recv_fetched": self.recv_fetched,
+            "recv_candidates": self.recv_candidates,
         }
 
-    def dump(self) -> dict:
-        """Checkpoint payload (Arrow tables, zero-copy through plasma)."""
+    def dump(self) -> dict[str, pa.Table]:
+        """The shard's checkpoint tables, keyed by parquet file stem:
+        seen, pending, errored and host_tokens always; retries,
+        backlinks and cash only when non-empty; resume_sel only after a
+        salvage (an EMPTY resume_sel is meaningful — see load)."""
         d = {
-            "shard": self.shard_id,
             "seen": pa.table({"url": pa.array(sorted(self.seen), pa.string())}),
             "pending": pa.table(
                 {
@@ -1025,80 +872,42 @@ class FrontierShard:
                     ),
                 }
             ),
-            "errored": pa.table(
-                {
-                    "url": pa.array(list(self.errored.keys()), pa.string()),
-                    "error": pa.array(list(self.errored.values()), pa.string()),
-                }
-            ),
+            "errored": _kv_table(self.errored, "url", "error", pa.string()),
+            # banked politeness carry: without it a token_bucket crawl
+            # resumed from checkpoint silently resets every host's
+            # unspent tokens and schedules differently from an
+            # uninterrupted run (ADVICE r2)
+            "host_tokens": _kv_table(self.host_tokens, "host", "tokens", pa.int64()),
+        }
+        if self.retrying or self.retry_fails:
             # transient-failure retry state: both waiting entries
             # (backoff slot + failure count) and the failure counts of
             # URLs currently back in flight (state='inflight', whose
             # depth/host ride the selection, not this table) — without
             # them a resumed crawl would restart every backoff from
             # scratch and schedule differently
-            "retries": pa.table(
+            w, f = list(self.retrying.values()), self.retry_fails
+            d["retries"] = pa.table(
                 {
-                    "url": pa.array(
-                        list(self.retrying.keys())
-                        + list(self.retry_fails.keys()),
-                        pa.string(),
-                    ),
-                    "depth": pa.array(
-                        [v[0] for v in self.retrying.values()]
-                        + [0] * len(self.retry_fails),
-                        pa.int32(),
-                    ),
-                    "host": pa.array(
-                        [v[1] for v in self.retrying.values()]
-                        + [""] * len(self.retry_fails),
-                        pa.string(),
-                    ),
+                    "url": pa.array(list(self.retrying) + list(f), pa.string()),
+                    "depth": pa.array([v[0] for v in w] + [0] * len(f), pa.int32()),
+                    "host": pa.array([v[1] for v in w] + [""] * len(f), pa.string()),
                     "fails": pa.array(
-                        [v[2] for v in self.retrying.values()]
-                        + list(self.retry_fails.values()),
-                        pa.int32(),
+                        [v[2] for v in w] + list(f.values()), pa.int32()
                     ),
-                    "avail": pa.array(
-                        [v[3] for v in self.retrying.values()]
-                        + [-1] * len(self.retry_fails),
-                        pa.int32(),
-                    ),
+                    "avail": pa.array([v[3] for v in w] + [-1] * len(f), pa.int32()),
                     "state": pa.array(
-                        ["waiting"] * len(self.retrying)
-                        + ["inflight"] * len(self.retry_fails),
-                        pa.string(),
+                        ["waiting"] * len(w) + ["inflight"] * len(f), pa.string()
                     ),
                 }
-            ),
-            # live citation counts (backlink_desc): without them a
-            # resumed adaptive crawl would re-rank from zero
-            "backlinks": pa.table(
-                {
-                    "url": pa.array(list(self.backlinks.keys()), pa.string()),
-                    "n": pa.array(list(self.backlinks.values()), pa.int64()),
-                }
-            ),
-            # live OPIC cash accounts (priority='opic'), same rationale
-            "cash": pa.table(
-                {
-                    "url": pa.array(list(self.cash.keys()), pa.string()),
-                    "n": pa.array(list(self.cash.values()), pa.int64()),
-                }
-            ),
-            # banked politeness carry: without it a token_bucket crawl
-            # resumed from checkpoint silently resets every host's
-            # unspent tokens and schedules differently from an
-            # uninterrupted run (ADVICE r2)
-            "host_tokens": pa.table(
-                {
-                    "host": pa.array(list(self.host_tokens.keys()), pa.string()),
-                    "tokens": pa.array(
-                        list(self.host_tokens.values()), pa.int64()
-                    ),
-                }
-            ),
-        }
+            )
+        # live citation counts (backlink_desc) and OPIC / relevance
+        # accounts: without them a resumed adaptive crawl would re-rank
+        # from zero
+        if self.backlinks:
+            d["backlinks"] = _kv_table(self.backlinks, "url", "n", pa.int64())
+        if self.cash:
+            d["cash"] = _kv_table(self.cash, "url", "n", pa.int64())
         if self._resume_sel is not None:
             u, dep, h = self._resume_sel
             d["resume_sel"] = pa.table(
@@ -1110,86 +919,43 @@ class FrontierShard:
             )
         return d
 
-    def load(
-        self,
-        seen: pa.Table,
-        pending: pa.Table,
-        errored: pa.Table,
-        host_tokens: pa.Table | None = None,
-        resume_sel: pa.Table | None = None,
-        retries: pa.Table | None = None,
-        backlinks: pa.Table | None = None,
-        cash: pa.Table | None = None,
-    ) -> None:
-        self.seen = set(seen["url"].to_pylist())
+    def load(self, tables: dict[str, pa.Table]) -> None:
+        """Restore from a ``dump()``-shaped dict; a missing table is
+        its empty default."""
+
+        def cols(name: str, *names: str) -> list[list]:
+            t = tables.get(name)
+            return [t[c].to_pylist() if t is not None else [] for c in names]
+
+        self.seen = set(*cols("seen", "url"))
         self.pending = {
-            u: (d, h)
-            for u, d, h in zip(
-                pending["url"].to_pylist(),
-                pending["depth"].to_pylist(),
-                pending["host"].to_pylist(),
-            )
+            u: (d, h) for u, d, h in zip(*cols("pending", "url", "depth", "host"))
         }
-        self.errored = dict(
-            zip(errored["url"].to_pylist(), errored["error"].to_pylist())
-        )
-        self.host_tokens = (
-            dict(
-                zip(
-                    host_tokens["host"].to_pylist(),
-                    (int(t) for t in host_tokens["tokens"].to_pylist()),
-                )
-            )
-            if host_tokens is not None
-            else {}
-        )
-        if backlinks is not None:
-            self.track_backlinks = True
-            self.backlinks = dict(
-                zip(
-                    backlinks["url"].to_pylist(),
-                    (int(n) for n in backlinks["n"].to_pylist()),
-                )
-            )
-        if cash is not None:
-            self.track_cash = True
-            self.cash = dict(
-                zip(
-                    cash["url"].to_pylist(),
-                    (int(n) for n in cash["n"].to_pylist()),
-                )
-            )
+        self.errored = dict(zip(*cols("errored", "url", "error")))
+        self.host_tokens = dict(zip(*cols("host_tokens", "host", "tokens")))
+        self.backlinks = dict(zip(*cols("backlinks", "url", "n")))
+        self.cash = dict(zip(*cols("cash", "url", "n")))
         self.retrying = {}
         self.retry_fails = {}
-        if retries is not None:
-            for u, d, h, f, a, st in zip(
-                retries["url"].to_pylist(),
-                retries["depth"].to_pylist(),
-                retries["host"].to_pylist(),
-                retries["fails"].to_pylist(),
-                retries["avail"].to_pylist(),
-                retries["state"].to_pylist(),
-            ):
-                if st == "waiting":
-                    self.retrying[u] = (int(d), h, int(f), int(a))
-                else:
-                    self.retry_fails[u] = int(f)
+        for u, d, h, f, a, st in zip(
+            *cols("retries", "url", "depth", "host", "fails", "avail", "state")
+        ):
+            if st == "waiting":
+                self.retrying[u] = (d, h, f, a)
+            else:
+                self.retry_fails[u] = f
         # a salvaged partial round's remainder: back to in_flight (so
-        # enqueue dedup still knows it) and stashed for the next take2.
+        # enqueue dedup still knows it) and stashed for the next take.
         # A PRESENT-but-EMPTY resume_sel is meaningful: the shard was
         # salvaged mid-round with every selected URL already fetched,
         # so the resumed round must re-take NOTHING from this shard —
-        # falling through to a normal take2 over pending would pull
+        # falling through to a normal take over pending would pull
         # next-depth candidates admitted by the round's completed tasks
         # and diverge from the uninterrupted (round, depth, url)
         # schedule (ADVICE r3, high). Only an ABSENT table means
         # "no salvage".
-        if resume_sel is not None:
-            self._resume_sel = (
-                resume_sel["url"].to_pylist(),
-                resume_sel["depth"].to_pylist(),
-                resume_sel["host"].to_pylist(),
-            )
+        if tables.get("resume_sel") is not None:
+            self._resume_sel = tuple(cols("resume_sel", "url", "depth", "host"))
             self.in_flight = set(self._resume_sel[0])
         else:
             self._resume_sel = None
@@ -1204,6 +970,14 @@ class FrontierShard:
             for u in self.in_flight:
                 self.bloom.add(_h64(u))
 
+
+def _kv_table(d: dict, key: str, value: str, value_type: pa.DataType) -> pa.Table:
+    return pa.table(
+        {
+            key: pa.array(list(d.keys()), pa.string()),
+            value: pa.array(list(d.values()), value_type),
+        }
+    )
 
 def _h64(s: str) -> int:
     return int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "big")

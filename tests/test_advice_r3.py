@@ -2,7 +2,7 @@
 
 1 (high): a salvaged shard whose selection was FULLY fetched before the
    kill dumps an empty resume_sel; load() must honor it as "re-take
-   nothing" instead of falling through to a normal take2 over pending
+   nothing" instead of falling through to a normal take over pending
    (which already holds next-depth candidates) — seen.py load().
 2 (medium): _await_round must re-raise a crashing round task's error in
    the normal (non-interrupted) path instead of quarantining its URLs
@@ -24,31 +24,36 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig
 from louis_crawler_legacy_ray.state.seen import FrontierShard
 from louis_crawler_legacy_ray.stages.sketches import QuantileSketch, approx_quantiles
 
 
 def _mk_shard(ray):
-    return FrontierShard.remote(0)
+    return FrontierShard.remote(0, CrawlConfig())
 
 
 def test_empty_resume_sel_means_retake_nothing(ray_session):
     """ADVICE #1 (high): salvage with zero deferred -> dump writes an
-    empty resume_sel -> a reloaded shard's next take2 returns count 0,
+    empty resume_sel -> a reloaded shard's next take returns count 0,
     NOT a fresh selection over pending (pending already holds the
     next-depth candidates the completed tasks admitted)."""
     ray = ray_session
     s = _mk_shard(ray)
     ray.get(
         s.enqueue.remote(
-            ["http://h/a", "http://h/b"], [3, 3], ["h", "h"]
+            pa.array(["http://h/a", "http://h/b"]),
+            pa.array([3, 3]),
+            pa.array(["h", "h"]),
         )
     )
-    assert ray.get(s.take2.remote())["count"] == 2
+    assert ray.get(s.take.remote(0))["count"] == 2
     # every selected URL's fetch delivery landed before the kill
-    ray.get(s.record_fetched.remote(["http://h/a", "http://h/b"]))
+    ray.get(s.record_fetched.remote(pa.array(["http://h/a", "http://h/b"])))
     # ... and those fetches admitted next-depth candidates into pending
-    ray.get(s.enqueue.remote(["http://h/c"], [4], ["h"]))
+    ray.get(
+        s.enqueue.remote(pa.array(["http://h/c"]), pa.array([4]), pa.array(["h"]))
+    )
     stats, _part = ray.get(
         s.salvage_round_part.options(num_returns=2).remote(7, None, 0)
     )
@@ -59,13 +64,16 @@ def test_empty_resume_sel_means_retake_nothing(ray_session):
     s2 = _mk_shard(ray)
     ray.get(
         s2.load.remote(
-            d["seen"], d["pending"], d["errored"], d["host_tokens"], d["resume_sel"]
+            {
+                k: d[k]
+                for k in ("seen", "pending", "errored", "host_tokens", "resume_sel")
+            }
         )
     )
     # the resumed round N re-takes NOTHING from this shard
-    assert ray.get(s2.take2.remote())["count"] == 0
+    assert ray.get(s2.take.remote(0))["count"] == 0
     # the round AFTER that proceeds normally over pending
-    assert ray.get(s2.take2.remote())["count"] == 1
+    assert ray.get(s2.take.remote(0))["count"] == 1
 
 
 def test_absent_resume_sel_means_normal_take(ray_session):
@@ -73,12 +81,18 @@ def test_absent_resume_sel_means_normal_take(ray_session):
     normally from pending."""
     ray = ray_session
     s = _mk_shard(ray)
-    ray.get(s.enqueue.remote(["http://h/a"], [0], ["h"]))
+    ray.get(
+        s.enqueue.remote(pa.array(["http://h/a"]), pa.array([0]), pa.array(["h"]))
+    )
     d = ray.get(s.dump.remote())
     assert "resume_sel" not in d
     s2 = _mk_shard(ray)
-    ray.get(s2.load.remote(d["seen"], d["pending"], d["errored"], d["host_tokens"]))
-    assert ray.get(s2.take2.remote())["count"] == 1
+    ray.get(
+        s2.load.remote(
+            {k: d[k] for k in ("seen", "pending", "errored", "host_tokens")}
+        )
+    )
+    assert ray.get(s2.take.remote(0))["count"] == 1
 
 
 def test_await_round_reraises_task_crash(ray_session):
@@ -93,7 +107,7 @@ def test_await_round_reraises_task_crash(ray_session):
         raise RuntimeError("worker exploded")
 
     with pytest.raises(ray.exceptions.RayTaskError):
-        _await_round([boom.remote()], None, 0, [], 0)
+        _await_round([boom.remote()], None, 0, [])
 
 
 def test_stale_stop_flag_does_not_truncate_next_crawl(ray_session, tmp_path):

@@ -6,7 +6,11 @@ builder, and checkpoint round-trip of the live counts."""
 import pyarrow as pa
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import (
+    CrawlConfig,
+    RoundPolicy,
+    _control_from_items,
+)
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -23,20 +27,30 @@ def test_sel_key_backlink_desc_ordering():
     )
 
 
+BACKLINK = CrawlConfig(priority="backlink_desc")
+
+
+def _enqueue(s, urls, depths, hosts):
+    return ray.get(
+        s.enqueue.remote(pa.array(urls), pa.array(depths), pa.array(hosts))
+    )
+
+
 def test_shard_orders_by_live_citations(ray_session):
-    s = FrontierShard.remote(0, track_backlinks=True)
+    s = FrontierShard.remote(0, BACKLINK)
     # z cited twice (admission + pending rediscovery), a cited once:
     # backlink_desc must select z first despite a's smaller url
-    ray.get(s.enqueue.remote(["http://h/z"], [0], ["h"]))
-    ray.get(s.enqueue.remote(["http://h/z", "http://h/a"], [0, 0], ["h", "h"]))
-    t = ray.get(s.take.remote(priority="backlink_desc"))
+    _enqueue(s, ["http://h/z"], [0], ["h"])
+    _enqueue(s, ["http://h/z", "http://h/a"], [0, 0], ["h", "h"])
+    ray.get(s.take.remote(0))
+    _meta, t = ray.get(s.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 
 def test_backlinks_survive_dump_load(ray_session):
-    s = FrontierShard.remote(0, track_backlinks=True)
-    ray.get(s.enqueue.remote(["http://h/z"], [0], ["h"]))
-    ray.get(s.enqueue.remote(["http://h/z", "http://h/a"], [0, 0], ["h", "h"]))
+    s = FrontierShard.remote(0, BACKLINK)
+    _enqueue(s, ["http://h/z"], [0], ["h"])
+    _enqueue(s, ["http://h/z", "http://h/a"], [0, 0], ["h", "h"])
     d = ray.get(s.dump.remote())
     bl = d["backlinks"]
     assert dict(zip(bl["url"].to_pylist(), bl["n"].to_pylist())) == {
@@ -44,16 +58,19 @@ def test_backlinks_survive_dump_load(ray_session):
         "http://h/a": 1,
     }
     # reload into a FRESH shard exactly as load_checkpoint does: the
-    # counts (and the tracking flag) must come back, or a resumed
-    # adaptive crawl would silently re-rank from zero
-    s2 = FrontierShard.remote(0)
+    # counts must come back, or a resumed adaptive crawl would
+    # silently re-rank from zero
+    s2 = FrontierShard.remote(0, BACKLINK)
     ray.get(
         s2.load.remote(
-            d["seen"], d["pending"], d["errored"], d["host_tokens"],
-            None, None, d["backlinks"],
+            {
+                k: d[k]
+                for k in ("seen", "pending", "errored", "host_tokens", "backlinks")
+            }
         )
     )
-    t = ray.get(s2.take.remote(priority="backlink_desc"))
+    ray.get(s2.take.remote(0))
+    _meta, t = ray.get(s2.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

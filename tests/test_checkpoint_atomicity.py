@@ -104,3 +104,90 @@ def test_resume_refuses_mismatched_config(ray_session, tmp_path):
     # matching config + seeds resumes fine (nothing left to do)
     res = run_frontier(edges_expand(edges), ["a"], cfg, resume=True)
     assert res.counts["pending"] == 0
+
+
+def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
+    """write_checkpoint -> load_checkpoint into fresh shards -> dump()
+    gives back equal tables for a shard holding every kind of state,
+    and each shard dir holds exactly its dump's tables: the four
+    always-present ones, plus retries / backlinks / cash only when
+    non-empty and resume_sel only after a salvage."""
+    import pyarrow as pa
+    import ray
+
+    from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig
+    from louis_crawler_legacy_ray.state.checkpoint import (
+        load_checkpoint,
+        write_checkpoint,
+    )
+    from louis_crawler_legacy_ray.state.seen import FrontierShard
+
+    cfg = CrawlConfig(
+        n_shards=2,
+        priority="opic",
+        per_host_budget=2,
+        politeness="token_bucket",
+        max_retries=3,
+        deny_url_patterns=[r"/trap"],
+    )
+
+    def enqueue(s, urls):
+        hosts = [u.split("/")[2] for u in urls]
+        ray.get(
+            s.enqueue.remote(
+                pa.array(urls),
+                pa.array([0] * len(urls)),
+                pa.array(hosts),
+                pa.array(range(len(urls), 0, -1), pa.int64()),
+            )
+        )
+
+    def fetched(s, urls):
+        ray.get(s.record_fetched.remote(pa.array(urls, pa.string())))
+
+    a1, a2, a3 = "http://a.ca/1", "http://a.ca/2", "http://a.ca/3"
+    b1, c1 = "http://b.ca/1", "http://c.ca/1"
+    full = FrontierShard.remote(0, cfg)
+    enqueue(full, [a1, a2, a3, b1, c1, "http://a.ca/trap"])  # trap -> errored
+    # round 0: a.ca capped at 2 (a3 stays pending); b.ca and c.ca bank
+    # a token each; a2 and b1 fail -> retry #1, due at round 2
+    assert ray.get(full.take.remote(0))["count"] == 4
+    fetched(full, [a1, c1])
+    ray.get(full.finish_round.options(num_returns=2).remote(0))
+    # round 1: a3 fails -> retry #1, due at round 3
+    assert ray.get(full.take.remote(1))["count"] == 1
+    ray.get(full.finish_round.options(num_returns=2).remote(1))
+    # round 2: a2 and b1 back in flight (a3 still waiting); b1 lands,
+    # then a salvage stashes a2 as the round's unfetched remainder
+    assert ray.get(full.take.remote(2))["count"] == 2
+    fetched(full, [b1])
+    ray.get(full.salvage_round_part.options(num_returns=2).remote(2))
+    enqueue(full, ["http://d.ca/1"])  # pending
+    empty = FrontierShard.remote(1, cfg)
+
+    want = ray.get([full.dump.remote(), empty.dump.remote()])
+    retries = want[0]["retries"].to_pydict()
+    assert sorted(zip(retries["url"], retries["state"])) == [
+        (a2, "inflight"),
+        (a3, "waiting"),
+    ]
+    assert want[0]["resume_sel"]["url"].to_pylist() == [a2]
+    assert max(want[0]["host_tokens"]["tokens"].to_pylist()) > 0
+    assert want[0]["cash"].num_rows
+
+    ck = str(tmp_path / "ckpt")
+    rdir = write_checkpoint(ck, 2, [full, empty], "h", {}, partial_attempt=0)
+    base = {"seen", "pending", "errored", "host_tokens"}
+    for i, extra in enumerate(({"retries", "cash", "resume_sel"}, set())):
+        names = os.listdir(os.path.join(rdir, f"shard={i:04d}"))
+        assert sorted(names) == sorted(f"{n}.parquet" for n in base | extra)
+
+    fresh = [FrontierShard.remote(i, cfg) for i in range(2)]
+    load_checkpoint(ck, 2, fresh, partial=True)
+    got = ray.get([s.dump.remote() for s in fresh])
+    for g, w in zip(got, want):
+        assert sorted(g) == sorted(w)
+        for name in w:
+            assert g[name].equals(w[name]), name
+    for s in [full, empty, *fresh]:
+        ray.kill(s)

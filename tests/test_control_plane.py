@@ -7,6 +7,7 @@ checkout semantics."""
 
 import glob
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray as _ray
 
@@ -113,16 +114,20 @@ def test_token_bucket_refund_on_truncate(ray_session):
     URLs it never fetched."""
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
-    shard = FrontierShard.options(num_cpus=0).remote(0)
-    urls = [f"http://h.ca/{i}" for i in range(6)]
-    _ray.get(shard.enqueue.remote(urls, [0] * 6, ["h.ca"] * 6))
-    # token_bucket refill=4 -> takes 4 of 6
-    summary = _ray.get(
-        shard.take2.remote(per_host_budget=4, politeness="token_bucket")
+    shard = FrontierShard.options(num_cpus=0).remote(
+        0, CrawlConfig(per_host_budget=4, politeness="token_bucket")
     )
+    urls = [f"http://h.ca/{i}" for i in range(6)]
+    _ray.get(
+        shard.enqueue.remote(
+            pa.array(urls), pa.array([0] * 6), pa.array(["h.ca"] * 6)
+        )
+    )
+    # token_bucket refill=4 -> takes 4 of 6
+    summary = _ray.get(shard.take.remote(0))
     assert summary["count"] == 4
     # global cap slices to 2: threshold = 2nd key
-    keys = _ray.get(shard.sel_keys_range.remote(None, None))
+    keys = _ray.get(shard.sel_sample.remote(None, None, 4096))
     kept = _ray.get(shard.truncate_selection.remote(keys[1]))
     assert kept == 2
     # bucket: cap was min(burst=8, 0+4)=4, spent 4 -> banked 0; refund 2
@@ -144,23 +149,26 @@ def test_host_tokens_survive_checkpoint_roundtrip(ray_session):
     crawl schedules exactly like an uninterrupted one (ADVICE r2)."""
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
-    a = FrontierShard.options(num_cpus=0).remote(0)
+    cfg = CrawlConfig(per_host_budget=5, politeness="token_bucket")
+    a = FrontierShard.options(num_cpus=0).remote(0, cfg)
     urls = [f"http://h.ca/{i}" for i in range(3)]
-    _ray.get(a.enqueue.remote(urls, [0] * 3, ["h.ca"] * 3))
+    _ray.get(
+        a.enqueue.remote(pa.array(urls), pa.array([0] * 3), pa.array(["h.ca"] * 3))
+    )
     # refill 5, only 3 pending -> banks 2 unspent tokens
-    _ray.get(a.take2.remote(per_host_budget=5, politeness="token_bucket"))
+    _ray.get(a.take.remote(0))
     dump = _ray.get(a.dump.remote())
-    b = FrontierShard.options(num_cpus=0).remote(0)
+    b = FrontierShard.options(num_cpus=0).remote(0, cfg)
     _ray.get(
         b.load.remote(
-            dump["seen"], dump["pending"], dump["errored"], dump["host_tokens"]
+            {k: dump[k] for k in ("seen", "pending", "errored", "host_tokens")}
         )
     )
     dump_b = _ray.get(b.dump.remote())
     assert dump_b["host_tokens"].to_pylist() == [{"host": "h.ca", "tokens": 2}]
     # legacy checkpoints without the table load as empty carry
-    c = FrontierShard.options(num_cpus=0).remote(0)
-    _ray.get(c.load.remote(dump["seen"], dump["pending"], dump["errored"]))
+    c = FrontierShard.options(num_cpus=0).remote(0, cfg)
+    _ray.get(c.load.remote({k: dump[k] for k in ("seen", "pending", "errored")}))
     assert _ray.get(c.dump.remote())["host_tokens"].num_rows == 0
     for s in (a, b, c):
         _ray.kill(s)

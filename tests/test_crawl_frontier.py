@@ -167,12 +167,14 @@ def test_approx_mode_matches_exact(ray_session, corpus):
     assert set(exact.order["url"].to_pylist()) == set(approx.order["url"].to_pylist())
 
 
-def test_suggest_hot_host_salt(ray_session, tmp_path):
+def test_suggest_hot_host_salt(ray_session, tmp_path, monkeypatch):
     """The skew advisor flags only hosts above the per-shard target,
     sizes salts as ceil(count/target), and crawling with the suggested
     salt map yields the identical fetched-URL set (salting moves queue
-    ownership, never results)."""
+    ownership, never results). The filter runs in the Dataset: only
+    hot hosts' rows reach the driver."""
     import pyarrow as pa
+    import ray.data
 
     from louis_crawler_legacy_ray.pipelines.crawl import (
         CrawlConfig,
@@ -189,10 +191,23 @@ def test_suggest_hot_host_salt(ray_session, tmp_path):
     pages = pages_from_documents(synth_documents(300), n_children=4, n_hosts=2)
     d = str(tmp_path / "pages")
     write_pages_parquet(pages, d)
+    driver_rows = []
+    iter_rows = ray.data.Dataset.iter_rows
+
+    def counting_iter_rows(self, *a, **kw):
+        for row in iter_rows(self, *a, **kw):
+            driver_rows.append(row)
+            yield row
+
+    monkeypatch.setattr(ray.data.Dataset, "iter_rows", counting_iter_rows)
     salt = suggest_hot_host_salt(d, per_shard_target=100)
     # both hosts exceed 100 pages -> 2 salts each
     assert salt and all(v == 2 for v in salt.values())
+    assert len(driver_rows) == len(salt)
+    driver_rows.clear()
     assert suggest_hot_host_salt(d, per_shard_target=10_000) == {}
+    assert driver_rows == []
+    monkeypatch.undo()
 
     seeds = [pages["url"][0].as_py()]
     plain = run_crawl(d, seeds, CrawlConfig(n_shards=2, max_depth=3))

@@ -174,11 +174,13 @@ def test_deny_url_patterns_quarantine(ray_session):
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
     shard = FrontierShard.options(num_cpus=0).remote(
-        0, deny_url_patterns=[r"/cal\?"]
+        0, CrawlConfig(deny_url_patterns=[r"/cal\?"])
     )
     added = _ray.get(
         shard.enqueue.remote(
-            ["http://a.ca/cal?d=9", "http://a.ca/ok"], [1, 1], ["a.ca", "a.ca"]
+            pa.array(["http://a.ca/cal?d=9", "http://a.ca/ok"]),
+            pa.array([1, 1]),
+            pa.array(["a.ca", "a.ca"]),
         )
     )
     assert added == 1
@@ -403,17 +405,20 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
 
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
-    s1 = FrontierShard.options(num_cpus=0).remote(0)
-    _ray.get(s1.enqueue.remote(["http://a.ca/x"], [1], ["a.ca"]))
+    cfg = CrawlConfig(max_retries=3)
+    s1 = FrontierShard.options(num_cpus=0).remote(0, cfg)
+    _ray.get(
+        s1.enqueue.remote(
+            pa.array(["http://a.ca/x"]), pa.array([1]), pa.array(["a.ca"])
+        )
+    )
     # round 1: select, fetch fails -> failure #1, wait until round 3
-    _ray.get(s1.take2.remote(round_no=1))
-    st1 = _ray.get(s1.finish_round_part.options(num_returns=2).remote(
-        1, None, max_retries=3
-    ))[0]
+    _ray.get(s1.take.remote(1))
+    st1 = _ray.get(s1.finish_round.options(num_returns=2).remote(1, None))[0]
     assert st1["retried"] == 1 and st1["errored"] == 0
     # round 3: due again, selected (back in flight), then SALVAGED
     # mid-round before any fetch landed
-    assert _ray.get(s1.take2.remote(round_no=3))["count"] == 1
+    assert _ray.get(s1.take.remote(3))["count"] == 1
     stats, _part = _ray.get(
         s1.salvage_round_part.options(num_returns=2).remote(3, None, 1)
     )
@@ -424,26 +429,19 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
     assert rt["state"] == ["inflight"] and rt["fails"] == [1]
 
     # fresh shard restored from the dump
-    s2 = FrontierShard.options(num_cpus=0).remote(0)
-    _ray.get(
-        s2.load.remote(
-            d["seen"], d["pending"], d["errored"], d["host_tokens"],
-            d["resume_sel"], d["retries"],
-        )
-    )
+    s2 = FrontierShard.options(num_cpus=0).remote(0, cfg)
+    _ray.get(s2.load.remote(d))
     # resumed round 3 re-takes exactly the stash
-    assert _ray.get(s2.take2.remote(round_no=3))["count"] == 1
+    assert _ray.get(s2.take.remote(3))["count"] == 1
     # it fails AGAIN: failure #2 (escalated from the restored count),
     # so the backoff is 2**2 = 4 rounds -> due at round 7, not 5
-    st2 = _ray.get(s2.finish_round_part.options(num_returns=2).remote(
-        3, None, max_retries=3
-    ))[0]
+    st2 = _ray.get(s2.finish_round.options(num_returns=2).remote(3, None))[0]
     assert st2["retried"] == 1
     d2 = _ray.get(s2.dump.remote())
     rt2 = d2["retries"].to_pydict()
     assert rt2["state"] == ["waiting"]
     assert rt2["fails"] == [2] and rt2["avail"] == [7]
-    assert _ray.get(s2.take2.remote(round_no=5))["count"] == 0
-    assert _ray.get(s2.take2.remote(round_no=7))["count"] == 1
+    assert _ray.get(s2.take.remote(5))["count"] == 0
+    assert _ray.get(s2.take.remote(7))["count"] == 1
     _ray.kill(s1)
     _ray.kill(s2)

@@ -76,22 +76,28 @@ def test_cuckoo_mode_matches_exact(ray_session, tmp_path):
 def test_expire_enables_recrawl(ray_session):
     """The TTL-recrawl primitive: expired URLs become enqueueable again
     (seen-set AND cuckoo-front deletion), unexpired ones stay blocked."""
+    import pyarrow as pa
+
+    from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
-    shard = FrontierShard.options(num_cpus=0).remote(0, mode="cuckoo")
+    shard = FrontierShard.options(num_cpus=0).remote(0, CrawlConfig(mode="cuckoo"))
     import ray as _ray
 
-    urls = [f"https://a.ca/p{i}" for i in range(20)]
-    hosts = ["a.ca"] * 20
-    _ray.get(shard.enqueue.remote(urls, [0] * 20, hosts))
-    _ray.get(shard.take.remote())
+    urls = pa.array([f"https://a.ca/p{i}" for i in range(20)])
+    hosts = pa.array(["a.ca"] * 20)
+    _ray.get(shard.enqueue.remote(urls, pa.array([0] * 20), hosts))
+    _ray.get(shard.take.remote(0))
     _ray.get(shard.record_fetched.remote(urls))
     # everything is seen: nothing re-admits
-    assert _ray.get(shard.enqueue.remote(urls, [1] * 20, hosts)) == 0
+    assert _ray.get(shard.enqueue.remote(urls, pa.array([1] * 20), hosts)) == 0
     # expire half: exactly those become enqueueable again
-    expired = urls[::2]
+    expired = urls.to_pylist()[::2]
     assert _ray.get(shard.expire.remote(expired)) == len(expired)
-    assert _ray.get(shard.enqueue.remote(urls, [1] * 20, hosts)) == len(expired)
-    sel = _ray.get(shard.take.remote())
+    assert _ray.get(shard.enqueue.remote(urls, pa.array([1] * 20), hosts)) == len(
+        expired
+    )
+    _ray.get(shard.take.remote(0))
+    _meta, sel = _ray.get(shard.selection_part.remote())
     assert sorted(sel["url"].to_pylist()) == sorted(expired)
     _ray.kill(shard)

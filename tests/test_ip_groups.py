@@ -6,6 +6,7 @@ flat budget / token bucket. The full schedule is hash-checked against
 a DuckDB round simulation by the crawl_ip_groups oracle; these tests
 pin the shard-level mechanics directly."""
 
+import pyarrow as pa
 import pytest
 import ray
 
@@ -16,10 +17,17 @@ G = {"a.example": "srv", "b.example": "srv", "c.example": "srv"}
 
 
 def _mk(urls, **kw):
-    s = FrontierShard.remote(0, **kw)
+    s = FrontierShard.remote(0, CrawlConfig(**kw))
     hosts = [host_of(u) for u in urls]
-    ray.get(s.enqueue.remote(urls, [0] * len(urls), hosts))
+    ray.get(
+        s.enqueue.remote(pa.array(urls), pa.array([0] * len(urls)), pa.array(hosts))
+    )
     return s
+
+
+def _take(s, round_no=0):
+    ray.get(s.take.remote(round_no))
+    return ray.get(s.selection_part.remote())[1]
 
 
 URLS = [
@@ -36,12 +44,12 @@ URLS = [
 def test_flat_budget_is_shared_across_the_group():
     # budget 2: ungrouped shards give 2 per HOST; grouped, the three
     # srv vhosts share ONE allowance of 2 while d.example keeps its own
-    s0 = _mk(URLS)
-    t0 = ray.get(s0.take.remote(per_host_budget=2, politeness="budget"))
+    s0 = _mk(URLS, per_host_budget=2, politeness="budget")
+    t0 = _take(s0)
     assert t0.num_rows == 7  # a:2 b:2 c:1 d:2
 
-    s1 = _mk(URLS, ip_groups=G)
-    t1 = ray.get(s1.take.remote(per_host_budget=2, politeness="budget"))
+    s1 = _mk(URLS, ip_groups=G, per_host_budget=2, politeness="budget")
+    t1 = _take(s1)
     sel = sorted(t1["url"].to_pylist())
     # (depth, url) order admits the 2 smallest grouped URLs + both d's
     assert sel == [
@@ -56,21 +64,13 @@ def test_token_bucket_carry_is_banked_per_group():
     # refill 1, burst 2: round 0 fetches 1 grouped URL; an all-requeued
     # round banks the group's token, so round 1 bursts 2 — the carry
     # belongs to the GROUP, not to whichever vhost was throttled
-    s = _mk(URLS[:5], ip_groups=G)
-    t = ray.get(
-        s.take.remote(per_host_budget=1, politeness="token_bucket", round_no=0)
-    )
+    s = _mk(URLS[:5], ip_groups=G, per_host_budget=1, politeness="token_bucket")
+    t = _take(s, 0)
     assert t.num_rows == 1
-    ray.get(
-        s.requeue.remote(
-            t["url"].to_pylist(),
-            t["depth"].to_pylist(),
-            t["host"].to_pylist(),
-        )
-    )
-    t2 = ray.get(
-        s.take.remote(per_host_budget=1, politeness="token_bucket", round_no=1)
-    )
+    # hand the whole selection back: every (depth, url) key sorts
+    # after (-1, "")
+    ray.get(s.truncate_selection.remote((-1, "")))
+    t2 = _take(s, 1)
     assert t2.num_rows == 2  # refill 1 + refunded carry 1, burst-capped
 
 

@@ -7,7 +7,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import (
+    CrawlConfig,
+    RoundPolicy,
+    _control_from_items,
+)
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -48,41 +52,49 @@ def test_control_builder_splits_cash_exactly():
     assert "cash" not in ctrl0.column_names
 
 
+OPIC = CrawlConfig(priority="opic")
+
+
+def _enqueue(s, urls, depths, hosts, cash):
+    return ray.get(
+        s.enqueue.remote(
+            pa.array(urls), pa.array(depths), pa.array(hosts), pa.array(cash)
+        )
+    )
+
+
 def test_shard_accumulates_shares_and_orders_by_cash(ray_session):
-    s = FrontierShard.remote(0, track_cash=True)
+    s = FrontierShard.remote(0, OPIC)
     # two parents fund z with 300 + 300; a gets a single 400 share:
     # cash order is a (400+200=600)... exercise both admission and
     # pending-rediscovery accumulation
-    ray.get(s.enqueue.remote(["http://h/z"], [1], ["h"], [300]))
-    ray.get(
-        s.enqueue.remote(
-            ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [300, 400]
-        )
-    )
-    ray.get(s.enqueue.remote(["http://h/a"], [1], ["h"], [200]))
+    _enqueue(s, ["http://h/z"], [1], ["h"], [300])
+    _enqueue(s, ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [300, 400])
+    _enqueue(s, ["http://h/a"], [1], ["h"], [200])
     # z: 600, a: 600 -> tie broken by (depth, url): a first
-    t = ray.get(s.take.remote(priority="opic"))
+    ray.get(s.take.remote(0))
+    _meta, t = ray.get(s.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/a", "http://h/z"]
     assert t["cash"].to_pylist() == [600, 600]  # frozen values ride along
 
 
 def test_cash_survives_dump_load(ray_session):
-    s = FrontierShard.remote(0, track_cash=True)
-    ray.get(s.enqueue.remote(["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [700, 100]))
+    s = FrontierShard.remote(0, OPIC)
+    _enqueue(s, ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [700, 100])
     d = ray.get(s.dump.remote())
     ca = d["cash"]
     assert dict(zip(ca["url"].to_pylist(), ca["n"].to_pylist())) == {
         "http://h/z": 700,
         "http://h/a": 100,
     }
-    s2 = FrontierShard.remote(0)
+    s2 = FrontierShard.remote(0, OPIC)
     ray.get(
         s2.load.remote(
-            d["seen"], d["pending"], d["errored"], d["host_tokens"],
-            None, None, None, d["cash"],
+            {k: d[k] for k in ("seen", "pending", "errored", "host_tokens", "cash")}
         )
     )
-    t = ray.get(s2.take.remote(priority="opic"))
+    ray.get(s2.take.remote(0))
+    _meta, t = ray.get(s2.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

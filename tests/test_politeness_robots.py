@@ -225,6 +225,50 @@ def test_crawl_delay_per_host_overrides(ray_session):
     assert sel == [2, 5, 1]
 
 
+def test_crawl_delay_budgets_reach_a_caller_supplied_frontier(ray_session):
+    """A Frontier built by the caller and handed to run_frontier must
+    honor Crawl-delay budgets exactly like one run_frontier builds
+    itself: a.ca (Crawl-delay: 60 -> 1 per round) trickles one page per
+    round in both."""
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from louis_crawler_legacy_ray.pipelines.crawl import (
+        CrawlConfig,
+        Frontier,
+        edges_expand,
+        run_frontier,
+    )
+
+    srcs, dsts = [], []
+    for i in range(3):
+        srcs += ["http://a.ca/root", "http://b.ca/root"]
+        dsts += [f"http://a.ca/c{i}", f"http://b.ca/c{i}"]
+    edges = pa.table({"src": srcs, "dst": dsts})
+    seeds = ["http://a.ca/root", "http://b.ca/root"]
+    cfg = CrawlConfig(
+        n_shards=2,
+        max_depth=2,
+        robots_txt_by_host={"a.ca": "User-agent: *\nCrawl-delay: 60\n"},
+        obey_robots=True,
+        honor_crawl_delay=True,
+    )
+
+    def a_per_round(res):
+        o = res.order.to_pydict()
+        return dict(Counter(r for r, u in zip(o["round"], o["url"]) if "a.ca" in u))
+
+    owned = run_frontier(edges_expand(edges), seeds, cfg)
+    fr = Frontier(cfg)
+    try:
+        supplied = run_frontier(edges_expand(edges), seeds, cfg, frontier=fr)
+    finally:
+        fr.release()
+    assert a_per_round(owned) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert a_per_round(supplied) == a_per_round(owned)
+
+
 def test_host_budgets_reject_token_bucket(ray_session):
     import pytest as _pytest
 

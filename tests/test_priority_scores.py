@@ -2,6 +2,7 @@
 PageRank style) ordering the round selection, per-shard score slicing,
 and checkpoint-identity coverage of the score map."""
 
+import pyarrow as pa
 import ray
 
 from louis_crawler_legacy_ray.pipelines.crawl import (
@@ -55,9 +56,14 @@ def test_frontier_slices_scores_by_owner_shard(ray_session):
         for u in urls:
             s = shard_of(u, host_of(u), cfg.n_shards, {})
             assert u in slices[s]
-            ray.get(f.shards[s].enqueue.remote([u], [0], [host_of(u)]))
+            ray.get(
+                f.shards[s].enqueue.remote(
+                    pa.array([u]), pa.array([0]), pa.array([host_of(u)])
+                )
+            )
         for i, shard in enumerate(f.shards):
-            t = ray.get(shard.take.remote(priority="score_desc"))
+            ray.get(shard.take.remote(0))
+            _meta, t = ray.get(shard.selection_part.remote())
             got = t["url"].to_pylist()
             expect = sorted(
                 (u for u in urls if u in slices[i]),

@@ -7,7 +7,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from louis_crawler_legacy_ray.pipelines.crawl import RoundPolicy, _control_from_items
+from louis_crawler_legacy_ray.pipelines.crawl import (
+    CrawlConfig,
+    RoundPolicy,
+    _control_from_items,
+)
 from louis_crawler_legacy_ray.state.seen import FrontierShard, _sel_key
 
 
@@ -57,16 +61,27 @@ def test_control_builder_scores_candidates_from_content():
     assert "cash" not in ctrl0.column_names
 
 
+RELEVANCE = CrawlConfig(priority="relevance_desc")
+
+
 def test_shard_max_combines_and_orders_by_score(ray_session):
-    s = FrontierShard.remote(0, track_cash=True, cash_combine="max")
+    s = FrontierShard.remote(0, RELEVANCE)
     # z endorsed 3 then 5 (max -> 5, not 8); a endorsed once with 4
-    ray.get(s.enqueue.remote(["http://h/z"], [1], ["h"], [3]))
     ray.get(
         s.enqueue.remote(
-            ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [5, 4]
+            pa.array(["http://h/z"]), pa.array([1]), pa.array(["h"]), pa.array([3])
         )
     )
-    t = ray.get(s.take.remote(priority="relevance_desc"))
+    ray.get(
+        s.enqueue.remote(
+            pa.array(["http://h/z", "http://h/a"]),
+            pa.array([1, 1]),
+            pa.array(["h", "h"]),
+            pa.array([5, 4]),
+        )
+    )
+    ray.get(s.take.remote(0))
+    _meta, t = ray.get(s.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
     # max-combine selections carry NO cash column: scores are computed
     # fresh from content, and a riding column would wrongly engage the
@@ -75,21 +90,24 @@ def test_shard_max_combines_and_orders_by_score(ray_session):
 
 
 def test_scores_survive_dump_load(ray_session):
-    s = FrontierShard.remote(0, track_cash=True, cash_combine="max")
+    s = FrontierShard.remote(0, RELEVANCE)
     ray.get(
         s.enqueue.remote(
-            ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [7, 1]
+            pa.array(["http://h/z", "http://h/a"]),
+            pa.array([1, 1]),
+            pa.array(["h", "h"]),
+            pa.array([7, 1]),
         )
     )
     d = ray.get(s.dump.remote())
-    s2 = FrontierShard.remote(0, track_cash=True, cash_combine="max")
+    s2 = FrontierShard.remote(0, RELEVANCE)
     ray.get(
         s2.load.remote(
-            d["seen"], d["pending"], d["errored"], d["host_tokens"],
-            None, None, None, d["cash"],
+            {k: d[k] for k in ("seen", "pending", "errored", "host_tokens", "cash")}
         )
     )
-    t = ray.get(s2.take.remote(priority="relevance_desc"))
+    ray.get(s2.take.remote(0))
+    _meta, t = ray.get(s2.selection_part.remote())
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

@@ -119,7 +119,8 @@ def extract_children(
 
 
 def url_host(url: str) -> str:
-    """netloc of a URL — the frontier partitioning key (SURVEY §7.3)."""
+    """netloc of a URL (urlparse). Not the frontier partitioning key:
+    shards route by state/seen.py's host rule (``route_urls``)."""
     return urlparse(url).netloc
 
 

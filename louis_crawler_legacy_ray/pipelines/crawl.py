@@ -54,7 +54,13 @@ from ..state.checkpoint import (
     write_checkpoint,
 )
 from ..state.politeness import RobotsCache
-from ..state.seen import FrontierShard, host_of, shard_for_host
+from ..state.seen import (  # shard_of: re-exported, the scalar router
+    FrontierShard,
+    route_urls,
+    shard_of,
+    split_by_shard,
+    url_hosts,
+)
 
 # -- graceful mid-round shutdown (reference SIGINT salvage,
 # goldie_playwright_parallel.py:700-728, 871-901) ---------------------
@@ -166,7 +172,7 @@ class CrawlConfig:
                                             # selections, nothing to freeze.
     priority_scores: dict | None = None     # url -> int score for priority="score_desc"
                                             # (in-degree, PageRank, OPIC...); the Frontier
-                                            # splits it by shard_of so each shard holds only
+                                            # splits it by route_urls so each shard holds only
                                             # its own hash-range's slice
     task_delay_ms: int = 0                  # fault injection (tests): round task t sleeps
                                             # (t+1)*delay, staggering completions so a mid-round
@@ -175,13 +181,27 @@ class CrawlConfig:
 
 def config_hash(cfg: CrawlConfig, seeds: list[str]) -> str:
     """Every knob that changes WHICH crawl this is must be in here:
-    hot_host_salt decides shard ownership (shard_of), so resuming
+    hot_host_salt decides shard ownership (route_urls), so resuming
     under a different salt map would load seen/pending state sharded
     under the old map and record_fetched would route to non-owner
     shards (the owner then quarantines fetched URLs as not_found);
-    allowed_domains / round_limit / obey_robots change the reachable
-    set and round schedule. Knobs that only change EXECUTION (batch
-    sizes, checkpoint_dir) stay out."""
+    allowed_domains / round_limit / obey_robots (and the obeyed
+    robots.txt bodies) change the reachable set and round schedule.
+    Knobs that only change EXECUTION (batch sizes, checkpoint_dir)
+    stay out."""
+    # the obeyed robots.txt bodies decide which URLs are admitted; the
+    # key is absent unless obeyed, so every other hash stays what
+    # existing checkpoints recorded
+    robots = (
+        {
+            "robots_txt_by_host": hashlib.blake2b(
+                json.dumps(sorted((cfg.robots_txt_by_host or {}).items())).encode(),
+                digest_size=8,
+            ).hexdigest()
+        }
+        if cfg.obey_robots
+        else {}
+    )
     payload = json.dumps(
         {
             "n_shards": cfg.n_shards,
@@ -235,6 +255,7 @@ def config_hash(cfg: CrawlConfig, seeds: list[str]) -> str:
             ).hexdigest()
             if cfg.priority_scores
             else None,
+            **robots,
         },
         sort_keys=True,
     )
@@ -281,40 +302,18 @@ class RoundPolicy:
         )
 
 
-def shard_of(
-    url: str,
-    host: str,
-    n_shards: int,
-    hot_host_salt: dict,
-    ip_groups: dict | None = None,
-) -> int:
-    n_salt = hot_host_salt.get(host)
-    if n_salt:
-        # hot-host salting: spread one host's URLs over n_salt shards
-        # (politeness budget becomes per (host, salt) sub-queue)
-        salt = shard_for_host(url, n_salt)
-        return shard_for_host(f"{host}#{salt}", n_shards)
-    if ip_groups:
-        # grouped vhosts route by GROUP so the shared budget is
-        # enforceable inside one shard (never salt a grouped host —
-        # the two knobs pull routing in opposite directions)
-        host = ip_groups.get(host, host)
-    return shard_for_host(host, n_shards)
-
-
-def _group_by_shard(
-    urls: list[str], n_shards: int, hot_host_salt: dict, ip_groups: dict | None = None
-):
-    """shard_id -> (urls, hosts). Per-URL Python, so callers run it in
-    parallel map tasks, not on the driver."""
-    by_shard: dict[int, tuple[list, list]] = {}
-    for url in urls:
-        host = host_of(url)
-        sid = shard_of(url, host, n_shards, hot_host_salt, ip_groups)
-        b = by_shard.setdefault(sid, ([], []))
-        b[0].append(url)
-        b[1].append(host)
-    return by_shard
+def _shard_rows(cfg: CrawlConfig, urls: list[str], **cols: pa.Array):
+    """Driver-side delivery split: route ``urls`` (plus any same-length
+    ``cols``) and return (shard_id, table of url, host, shard, *cols)
+    per owning shard — the same router the round tasks use."""
+    url_arr = pa.array(urls, pa.string())
+    hosts, shards = route_urls(
+        url_arr, cfg.n_shards, cfg.hot_host_salt, cfg.ip_groups
+    )
+    return split_by_shard(
+        pa.table({"url": url_arr, "host": hosts, "shard": shards, **cols}),
+        cfg.n_shards,
+    )
 
 
 class Frontier:
@@ -362,18 +361,16 @@ class Frontier:
             )
         self.cfg = cfg
         self._pooled = False
-        # split the score_desc score map into per-shard slices keyed by
-        # the SAME shard_of routing as pending/seen — each shard holds
-        # only the scores of URLs it can own (O(frontier/n_shards) per
-        # actor; nothing shard-external is ever shipped)
+        # split the score_desc score map into per-shard slices by the
+        # SAME router as pending/seen — each shard holds only the
+        # scores of URLs it can own (O(frontier/n_shards) per actor;
+        # nothing shard-external is ever shipped)
         score_slices: list[dict] | None = None
         if cfg.priority_scores:
+            scores = cfg.priority_scores
             score_slices = [dict() for _ in range(cfg.n_shards)]
-            for url, sc in cfg.priority_scores.items():
-                s = shard_of(
-                    url, host_of(url), cfg.n_shards, cfg.hot_host_salt, cfg.ip_groups
-                )
-                score_slices[s][url] = sc
+            for sid, sub in _shard_rows(cfg, list(scores)):
+                score_slices[sid] = {u: scores[u] for u in sub["url"].to_pylist()}
         self._score_slices = score_slices
         # the ONE shard construction: (shard_id, cfg with that shard's
         # score slice), for a pooled reset and a fresh spawn alike
@@ -456,26 +453,17 @@ class Frontier:
     ) -> int:
         """Driver-side enqueue (seeds / small candidate sets). ``cash``
         funds each row's OPIC account (seed rows get cfg.opic_cash)."""
-        cfg = self.cfg
-        by_shard: dict[int, tuple[list, list, list, list]] = {}
-        for i, (url, depth) in enumerate(zip(urls, depths)):
-            host = host_of(url)
-            sid = shard_of(
-                url, host, cfg.n_shards, cfg.hot_host_salt, cfg.ip_groups
-            )
-            b = by_shard.setdefault(sid, ([], [], [], []))
-            b[0].append(url)
-            b[1].append(depth)
-            b[2].append(host)
-            b[3].append(cash[i] if cash is not None else 0)
+        cols = {"depth": pa.array(depths, pa.int32())}
+        if cash is not None:
+            cols["cash"] = pa.array(cash, pa.int64())
         refs = [
             self.shards[sid].enqueue.remote(
-                pa.array(u, pa.string()),
-                pa.array(d, pa.int32()),
-                pa.array(h, pa.string()),
-                pa.array(c, pa.int64()) if cash is not None else None,
+                sub["url"].combine_chunks(),
+                sub["depth"].combine_chunks(),
+                sub["host"].combine_chunks(),
+                sub["cash"].combine_chunks() if cash is not None else None,
             )
-            for sid, (u, d, h, c) in by_shard.items()
+            for sid, sub in _shard_rows(self.cfg, urls, **cols)
         ]
         return sum(ray.get(refs))
 
@@ -528,13 +516,10 @@ class Frontier:
         )
 
     def record_fetched(self, urls: list[str]) -> None:
-        by_shard = _group_by_shard(
-            urls, self.cfg.n_shards, self.cfg.hot_host_salt, self.cfg.ip_groups
-        )
         ray.get(
             [
-                self.shards[sid].record_fetched.remote(pa.array(u, pa.string()))
-                for sid, (u, _) in by_shard.items()
+                self.shards[sid].record_fetched.remote(sub["url"].combine_chunks())
+                for sid, sub in _shard_rows(self.cfg, urls)
             ]
         )
 
@@ -543,12 +528,12 @@ class Frontier:
         routed) so a later enqueue re-admits them. Requires the
         deletable cuckoo seen-front under mode='cuckoo' (a bloom
         front cannot forget; state/seen.py expire)."""
-        by_shard = _group_by_shard(
-            urls, self.cfg.n_shards, self.cfg.hot_host_salt, self.cfg.ip_groups
-        )
         return sum(
             ray.get(
-                [self.shards[sid].expire.remote(u) for sid, (u, _) in by_shard.items()]
+                [
+                    self.shards[sid].expire.remote(sub["url"].to_pylist())
+                    for sid, sub in _shard_rows(self.cfg, urls)
+                ]
             )
         )
 
@@ -634,48 +619,6 @@ def _global_threshold(shards, limit: int, total: int) -> tuple[tuple[int, str], 
     keys = sorted(tuple(k) for sub in key_lists for k in sub)
     max_rows = max(max_rows, len(keys))
     return keys[limit - rank_lo - 1], max_rows
-
-
-# stop at '/', '?' AND '#' so the vectorized netloc agrees with
-# urlparse for query-bearing URLs like http://host?x=1 (ADVICE r1:
-# a [^/]+ mismatch routed record_fetched to the wrong shard and the
-# owner quarantined the fetched URL as not_found)
-_HOST_PATTERN = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<host>[^/?#]+)"
-
-
-def _hosts_and_shards(
-    urls: pa.Array, n_shards: int, salt: dict, groups: dict | None = None
-):
-    """Vectorized host + shard columns for a URL array: regex-extract
-    the netloc with an Arrow kernel, then hash only the UNIQUE hosts in
-    Python (dozens, not millions) and scatter back via index_in."""
-    ex = pc.extract_regex(urls, _HOST_PATTERN)
-    hosts = pc.if_else(
-        pc.is_valid(ex), pc.struct_field(ex, "host"), pa.scalar("", pa.string())
-    )
-    uniq = pc.unique(hosts)
-    if salt:
-        # salted hosts need per-URL sharding -- rare path, per-row
-        salted = set(salt)
-        if any(h in salted for h in uniq.to_pylist()):
-            hl = hosts.to_pylist()
-            ul = urls.to_pylist()
-            sids = pa.array(
-                [shard_of(u, h, n_shards, salt, groups) for u, h in zip(ul, hl)],
-                pa.int32(),
-            )
-            return hosts, sids
-    # grouped vhosts route by GROUP key (still host-level, so the
-    # unique-host fast path holds — dozens of hashes, not millions)
-    shard_per_uniq = pa.array(
-        [
-            shard_for_host(groups.get(h.as_py(), h.as_py()) if groups else h.as_py(), n_shards)
-            for h in uniq
-        ],
-        pa.int32(),
-    )
-    idx = pc.index_in(hosts, value_set=uniq)
-    return hosts, shard_per_uniq.take(idx)
 
 
 def _control_from_items(items: pa.Table, policy: RoundPolicy) -> pa.Table:
@@ -826,21 +769,17 @@ def _control_from_items(items: pa.Table, policy: RoundPolicy) -> pa.Table:
                     [c_cash, pa.array([0] * (len(dst) - n_red), pa.int64())]
                 )
 
-    f_hosts, f_shards = _hosts_and_shards(
-        urls, policy.n_shards, policy.salt, policy.groups
-    )
-    c_hosts, c_shards = _hosts_and_shards(
-        dst, policy.n_shards, policy.salt, policy.groups
-    )
     n_f = len(urls)
+    all_urls = pa.concat_arrays([urls, dst])
+    hosts, shards = route_urls(all_urls, policy.n_shards, policy.salt, policy.groups)
     cols = {
         "kind": pa.concat_arrays(
             [pa.array(["f"] * n_f, pa.string()), pa.array(["c"] * len(dst), pa.string())]
         ),
-        "url": pa.concat_arrays([urls, dst]),
+        "url": all_urls,
         "depth": pa.concat_arrays([depths.cast(pa.int32()), nd]),
-        "host": pa.concat_arrays([f_hosts, c_hosts]),
-        "shard": pa.concat_arrays([f_shards, c_shards]),
+        "host": hosts,
+        "shard": shards,
     }
     if "cash" in items.column_names or policy.relevance_keyword is not None:
         if c_cash is None:
@@ -1162,17 +1101,17 @@ def _send_control(items: pa.Table, shards, policy: RoundPolicy) -> tuple[int, in
     to their owning shard actors; returns the (fetched, candidates)
     sent counts for the driver's delivery reconciliation."""
     ctrl = _control_from_items(items, policy)
+    is_f = pc.equal(ctrl["kind"], "f")
+    fetched = dict(split_by_shard(ctrl.filter(is_f), policy.n_shards))
+    cands = dict(split_by_shard(ctrl.filter(pc.invert(is_f)), policy.n_shards))
     n_f = n_c = 0
-    for sid in range(policy.n_shards):
-        sub = ctrl.filter(pc.equal(ctrl["shard"], sid))
-        if sub.num_rows == 0:
-            continue
-        f = sub.filter(pc.equal(sub["kind"], "f"))
-        c = sub.filter(pc.equal(sub["kind"], "c"))
-        if f.num_rows:
+    for sid in sorted(fetched.keys() | cands.keys()):
+        f = fetched.get(sid)
+        if f is not None:
             n_f += f.num_rows
             shards[sid].record_fetched.remote(f["url"].combine_chunks())
-        if c.num_rows:
+        c = cands.get(sid)
+        if c is not None:
             n_c += c.num_rows
             shards[sid].enqueue.remote(
                 c["url"].combine_chunks(),
@@ -1890,11 +1829,7 @@ def suggest_hot_host_salt(
     from ray.data.aggregate import Sum as _Sum
 
     def host_counts(batch: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(batch["url"], _HOST_PATTERN)
-        hosts = pc.if_else(
-            pc.is_valid(ex), pc.struct_field(ex, "host"), pa.scalar("", pa.string())
-        )
-        vc = hosts.value_counts()
+        vc = url_hosts(batch["url"]).value_counts()
         return pa.table(
             {
                 "host": vc.field("values"),

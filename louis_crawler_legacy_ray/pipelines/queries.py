@@ -3831,7 +3831,7 @@ def q_crawl_priority_indegree(sf_dir: str):
     computed by a PRIOR Ray pass over the corpus — pages -> extract
     links (the same extract_batch kernel the crawl uses) -> one
     groupby(count). The score map rides CrawlConfig.priority_scores;
-    the Frontier splits it per shard_of so each shard holds only its
+    the Frontier splits it by its URL->shard router so each shard holds only its
     own hash-range's slice. Global cap 9/round forces every round to
     pick the nine key-smallest URLs across shards under the new key —
     the distributed k-th-key selection machinery unchanged over
@@ -3929,7 +3929,7 @@ def q_crawl_pagerank_priority(sf_dir: str):
     pass extracts the corpus's link graph (same extract_batch kernel
     the crawl uses) and runs stages/graph.py pagerank over it (exact
     int64, 3 iterations), the scaled ranks feed
-    CrawlConfig.priority_scores (split per shard by shard_of), and the
+    CrawlConfig.priority_scores (split per shard by the URL->shard router), and the
     frontier drains (depth, -rank, url) under the DISTRIBUTED global
     cap 9/round — the k-th-key selection machinery steering by
     1e12-scale score keys. Two flagship subsystems (iterative graph

@@ -11,7 +11,7 @@ three flat text files (louis/crawler/spiders/goldie_playwright_parallel.py):
 A user switching engines mid-crawl carries exactly these files. This
 module reads them with the reference's own parsing rules (strip, skip
 blank lines, rsplit on the LAST ``|``, set semantics), loads them into
-the host-sharded frontier (same ``shard_of`` routing as a live crawl,
+the host-sharded frontier (the same URL->shard router as a live crawl,
 so politeness/seen colocation is identical to a native run), and can
 export a frontier back out so a migration is reversible.
 
@@ -30,8 +30,6 @@ import os
 
 import pyarrow as pa
 import ray
-
-from ..state.seen import host_of
 
 
 def read_scraped_urls(path: str) -> set[str]:
@@ -112,15 +110,11 @@ def import_legacy_state(
     a url pending at several depths (legal in the reference's
     (url, depth) set) collapses to its MINIMUM depth — the depth its
     BFS sort (:647-664) would have fetched it at first. Routing uses
-    the frontier's own shard_of, so an imported crawl is
+    the frontier's own router, so an imported crawl is
     indistinguishable from one that reached this state natively."""
-    from ..pipelines.crawl import shard_of
+    from ..pipelines.crawl import _shard_rows
 
     cfg = frontier.cfg
-    n = cfg.n_shards
-    salt = cfg.hot_host_salt or {}
-    grp = cfg.ip_groups
-
     best_depth: dict[str, int] = {}
     for url, depth in pending:
         if url in seen or url in errored:
@@ -129,47 +123,18 @@ def import_legacy_state(
         if d0 is None or depth < d0:
             best_depth[url] = depth
 
-    per_shard: list[dict[str, list]] = [
-        {"seen": [], "p_url": [], "p_depth": [], "p_host": [], "err": []}
-        for _ in range(n)
-    ]
-    for u in seen:
-        per_shard[shard_of(u, host_of(u), n, salt, grp)]["seen"].append(u)
-    for u in errored:
-        per_shard[shard_of(u, host_of(u), n, salt, grp)]["err"].append(u)
-    for u, d in best_depth.items():
-        h = host_of(u)
-        s = per_shard[shard_of(u, h, n, salt, grp)]
-        s["p_url"].append(u)
-        s["p_depth"].append(d)
-        s["p_host"].append(h)
-
-    loads = []
-    for shard, part in zip(frontier.shards, per_shard):
-        loads.append(
-            shard.load.remote(
-                {
-                    "seen": pa.table(
-                        {"url": pa.array(sorted(part["seen"]), pa.string())}
-                    ),
-                    "pending": pa.table(
-                        {
-                            "url": pa.array(part["p_url"], pa.string()),
-                            "depth": pa.array(part["p_depth"], pa.int32()),
-                            "host": pa.array(part["p_host"], pa.string()),
-                        }
-                    ),
-                    "errored": pa.table(
-                        {
-                            "url": pa.array(sorted(part["err"]), pa.string()),
-                            "error": pa.array(
-                                [error_label] * len(part["err"]), pa.string()
-                            ),
-                        }
-                    ),
-                }
-            )
+    tables: list[dict[str, pa.Table]] = [{} for _ in frontier.shards]
+    for sid, sub in _shard_rows(cfg, sorted(seen)):
+        tables[sid]["seen"] = sub.select(["url"])
+    for sid, sub in _shard_rows(
+        cfg, list(best_depth), depth=pa.array(list(best_depth.values()), pa.int32())
+    ):
+        tables[sid]["pending"] = sub.select(["url", "depth", "host"])
+    for sid, sub in _shard_rows(cfg, sorted(errored)):
+        tables[sid]["errored"] = sub.select(["url"]).append_column(
+            "error", pa.array([error_label] * sub.num_rows, pa.string())
         )
+    loads = [shard.load.remote(t) for shard, t in zip(frontier.shards, tables)]
     ray.get(loads)
     return {
         "seen": len(seen),

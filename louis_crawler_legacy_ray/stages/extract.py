@@ -56,15 +56,7 @@ def extract_batch(
         if "depth" in batch.column_names
         else [0] * len(urls)
     )
-    items = extract_items(urls, htmls, depths, now_us, allowed_domains)
-    if "cash" in batch.column_names:
-        # OPIC passthrough (pipelines/crawl.py): extract is 1 row per
-        # input page, so the parent-cash column stays aligned
-        col = batch["cash"]
-        items = items.append_column(
-            "cash", col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        )
-    return items
+    return extract_items(urls, htmls, depths, now_us, allowed_domains)
 
 
 def extract_items(

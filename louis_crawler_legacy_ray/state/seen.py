@@ -10,6 +10,16 @@ range ``shard_id == blake2b64(host(url)) % N`` — sharding by HOST so a
 host's pending URLs and its politeness budget are colocated in one
 actor (north_rule: hash-partition by host; SURVEY §2.3 T4/T5).
 
+Routing is ONE implementation, :func:`route_urls` below, used by every
+delivery path (seeds, driver-side record_fetched / expire, the
+score-map split, legacy import, the round tasks' control rows). Its
+host rule is ``scheme://netloc`` up to the first '/', '?' or '#';
+URLs that do not parse that way (leading space, no scheme, ...) share
+host ``""`` and so one shard. Hot-host salt and ip_groups refine the
+key (:func:`shard_of`). The robots lookup (``RobotsCache.allowed``,
+which uses ``urlparse``) is deliberately separate: it decides what a
+host's robots.txt allows, never which shard owns a URL.
+
 URL lifecycle inside a shard (mirrors goldie_playwright_parallel.py
 enqueue/take semantics, :606-664):
 
@@ -52,16 +62,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 if TYPE_CHECKING:
     from ..pipelines.crawl import CrawlConfig
-
-
-def host_of(url: str) -> str:
-    from urllib.parse import urlparse
-
-    return urlparse(url).netloc
 
 
 class _Zeros:
@@ -80,6 +85,93 @@ _ZERO_CASH = _Zeros()
 def shard_for_host(host: str, n_shards: int) -> int:
     h = int.from_bytes(hashlib.blake2b(host.encode(), digest_size=8).digest(), "big")
     return h % n_shards
+
+
+# -- the URL -> shard router (see the module docstring) ----------------
+# '?' and '#' end the netloc too, so http://host?x=1 and http://host#f
+# route like http://host/
+_HOST_PATTERN = r"^[A-Za-z][A-Za-z0-9+.\-]*://(?P<host>[^/?#]+)"
+
+
+def url_hosts(urls: pa.Array) -> pa.Array:
+    """The host rule over a URL array (a regex-extract Arrow kernel)."""
+    ex = pc.extract_regex(urls, _HOST_PATTERN)
+    return pc.if_else(
+        pc.is_valid(ex), pc.struct_field(ex, "host"), pa.scalar("", pa.string())
+    )
+
+
+def host_of(url: str) -> str:
+    """The host rule for one URL."""
+    return url_hosts(pa.array([url], pa.string()))[0].as_py()
+
+
+def shard_of(
+    url: str,
+    host: str,
+    n_shards: int,
+    hot_host_salt: dict,
+    ip_groups: dict | None = None,
+) -> int:
+    """The shard formula for one URL whose host is ``host``."""
+    n_salt = hot_host_salt.get(host)
+    if n_salt:
+        # hot-host salting: spread one host's URLs over n_salt shards
+        # (politeness budget becomes per (host, salt) sub-queue)
+        salt = shard_for_host(url, n_salt)
+        return shard_for_host(f"{host}#{salt}", n_shards)
+    if ip_groups:
+        # grouped vhosts route by GROUP so the shared budget is
+        # enforceable inside one shard (never salt a grouped host —
+        # the two knobs pull routing in opposite directions)
+        host = ip_groups.get(host, host)
+    return shard_for_host(host, n_shards)
+
+
+def route_urls(
+    urls: pa.Array, n_shards: int, salt: dict, groups: dict | None = None
+) -> tuple[pa.Array, pa.Array]:
+    """(host, shard) columns for a URL array: the host rule, then
+    :func:`shard_of` once per UNIQUE host (dozens, not millions),
+    scattered back with index_in. Only the rows of salted hosts take
+    the per-row path — their shard depends on the URL, not the host."""
+    hosts = url_hosts(urls)
+    uniq = pc.unique(hosts)
+    uniq_l = uniq.to_pylist()
+    per_uniq = pa.array(
+        [shard_of("", h, n_shards, {}, groups) for h in uniq_l], pa.int32()
+    )
+    shards = per_uniq.take(pc.index_in(hosts, value_set=uniq))
+    if salt and not salt.keys().isdisjoint(uniq_l):
+        rows = np.flatnonzero(
+            pc.is_in(hosts, value_set=pa.array(list(salt), pa.string())).to_numpy(
+                zero_copy_only=False
+            )
+        )
+        sids = shards.to_numpy(zero_copy_only=False).copy()
+        sids[rows] = [
+            shard_of(u, h, n_shards, salt, groups)
+            for u, h in zip(
+                urls.take(rows).to_pylist(), hosts.take(rows).to_pylist()
+            )
+        ]
+        shards = pa.array(sids, pa.int32())
+    return hosts, shards
+
+
+def split_by_shard(tbl: pa.Table, n_shards: int) -> list[tuple[int, pa.Table]]:
+    """(shard_id, rows) for every shard owning a row of ``tbl`` (routed:
+    it has a ``shard`` column), row order kept within each shard. One
+    stable sort, then one compact take per shard — never a slice,
+    which would ship the whole parent buffer with every RPC."""
+    sids = tbl["shard"].to_numpy()
+    order = np.argsort(sids, kind="stable")
+    ends = np.cumsum(np.bincount(sids, minlength=n_shards))[:-1]
+    return [
+        (sid, tbl.take(idx))
+        for sid, idx in enumerate(np.split(order, ends))
+        if len(idx)
+    ]
 
 
 class _Bloom:
@@ -223,7 +315,7 @@ class FrontierShard:
 
         ``cfg`` is the crawl's config with ``priority_scores`` cut to
         THIS shard's slice ('score_desc': the Frontier splits the map
-        by shard_of, so each shard holds only the scores of URLs it can
+        with route_urls, so each shard holds only the scores of URLs it can
         own — O(frontier / n_shards) per actor, the same partitioning
         as pending/seen)."""
         assert cfg.mode in ("exact", "approx", "cuckoo")
@@ -445,7 +537,7 @@ class FrontierShard:
         """Politeness BUDGET key for a host: itself, unless ip_groups
         binds it to a server group (vhosts sharing one origin server
         share one budget / token bucket — Heritrix's ip-based frontier
-        queues). Routing (pipelines.crawl.shard_of) keys grouped hosts
+        queues). Routing (route_urls / shard_of) keys grouped hosts
         by the GROUP, so a group's whole queue state lives in this shard
         and the shared cap is enforceable locally. Pure and
         config-stable, so checkpointed host_tokens keys stay valid
@@ -961,14 +1053,14 @@ class FrontierShard:
             self._resume_sel = None
             self.in_flight = set()
         if self.bloom is not None:
-            for u in self.seen:
-                self.bloom.add(_h64(u))
-            for u in self.pending:
-                self.bloom.add(_h64(u))
-            for u in self.errored:
-                self.bloom.add(_h64(u))
-            for u in self.in_flight:
-                self.bloom.add(_h64(u))
+            # every set enqueue checks behind the front, retrying
+            # included: a URL waiting out its backoff must not look
+            # never-seen after a resume
+            for keys in (
+                self.seen, self.pending, self.errored, self.in_flight, self.retrying
+            ):
+                for u in keys:
+                    self.bloom.add(_h64(u))
 
 
 def _kv_table(d: dict, key: str, value: str, value_type: pa.DataType) -> pa.Table:

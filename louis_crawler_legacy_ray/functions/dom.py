@@ -5,7 +5,10 @@ the small subset of soup functionality the reference's kernels need
 (louis/crawler/spiders/goldie.py:47-61 cleaning and
 louis/crawler/chunking.py heading-block grouping):
 
-  - parse HTML into an element tree (comments preserved as nodes)
+  - tokenize HTML once into a sink (``feed``): start/end/data/comment
+    events, the same from the fast tokenizer and from html.parser
+  - parse HTML into an element tree, the tree-building sink (comments
+    preserved as nodes)
   - select by tag name / css class; remove subtrees; strip comments
   - serialize back to HTML (attrs in insertion order)
   - get_text, document-order traversal, sibling/parent navigation
@@ -52,9 +55,25 @@ def quote_attr(value: str) -> str:
     return f"{quote}{value}{quote}"
 
 
+def attrs_html(attrs: dict) -> str:
+    """Serialized attributes of a start tag, leading space included:
+    sorted by name (bs4 Tag.decode sorts attrs.items() — the reference's
+    golden bytes depend on it, test_goldie.py:48: source order
+    property,class,typeof serializes class,property,typeof); only
+    string values are emitted."""
+    if not attrs:
+        return ""
+    if len(attrs) == 1:  # the common case, no sort
+        ((k, v),) = attrs.items()
+        return f" {k}={quote_attr(v)}" if isinstance(v, str) else ""
+    return "".join(
+        [f" {k}={quote_attr(v)}" for k, v in sorted(attrs.items()) if isinstance(v, str)]
+    )
+
+
 # contents of these elements are CDATA-like: bs4 marks their strings
 # Script/Stylesheet and skips entity substitution on output.
-_RAW_TEXT_TAGS = frozenset({"script", "style"})
+RAW_TEXT_TAGS = frozenset({"script", "style"})
 
 VOID_ELEMENTS = frozenset(
     {
@@ -240,19 +259,12 @@ class Element:
             # comments contribute no text
 
     def serialize(self, out: list[str], skip_comments: bool = False) -> None:
-        # bs4 Tag.decode sorts attributes alphabetically on output —
-        # the reference's golden bytes depend on it (test_goldie.py:48:
-        # source order property,class,typeof serializes class,property,typeof)
-        attrs = "".join(
-            f" {k}={quote_attr(v)}"
-            for k, v in sorted(self.attrs.items())
-            if isinstance(v, str)
-        )
+        attrs = attrs_html(self.attrs)
         if self.name in VOID_ELEMENTS and not self.children:
             out.append(f"<{self.name}{attrs}/>")
             return
         out.append(f"<{self.name}{attrs}>")
-        raw = self.name in _RAW_TEXT_TAGS
+        raw = self.name in RAW_TEXT_TAGS
         for child in self.children:
             if skip_comments and isinstance(child, Comment):
                 continue
@@ -269,7 +281,7 @@ class Element:
 
     def inner_html(self) -> str:
         out: list[str] = []
-        raw = self.name in _RAW_TEXT_TAGS
+        raw = self.name in RAW_TEXT_TAGS
         for child in self.children:
             if isinstance(child, Element):
                 child.serialize(out)
@@ -281,59 +293,90 @@ class Element:
         return f"<{self.name} {self.attrs.get('class', '')}>"
 
 
-class _TreeBuilder(HTMLParser):
+class _TreeBuilder:
+    """Token sink that builds the Element tree :func:`parse_html`
+    returns. A sink takes four events: ``start(tag, attrs, closed)``
+    (tag lower-cased, attrs a name -> str dict, ``closed`` for the
+    ``<x .../>`` form), ``end(tag)``, ``data(text)`` (charrefs already
+    converted) and ``comment(text)``."""
+
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.root = Element("[document]")
         self.stack = [self.root]
 
-    def handle_starttag(self, tag, attrs):
-        el = Element(tag, {k: (v if v is not None else "") for k, v in attrs})
+    def start(self, tag, attrs, closed):
+        el = Element(tag, attrs)
         self.stack[-1].append(el)
-        if tag not in VOID_ELEMENTS:
+        if not closed and tag not in VOID_ELEMENTS:
             self.stack.append(el)
 
-    def handle_startendtag(self, tag, attrs):
-        el = Element(tag, {k: (v if v is not None else "") for k, v in attrs})
-        self.stack[-1].append(el)
-
-    def handle_endtag(self, tag):
+    def end(self, tag):
         # pop to the matching open tag; ignore stray end tags
         for i in range(len(self.stack) - 1, 0, -1):
             if self.stack[i].name == tag:
                 del self.stack[i:]
                 return
 
-    def handle_data(self, data):
+    def data(self, data):
         if data:
             self.stack[-1].append(Text(data))
 
-    def handle_comment(self, data):
+    def comment(self, data):
         self.stack[-1].append(Comment(data))
 
 
+class _StdlibFeed(HTMLParser):
+    """stdlib html.parser driving a token sink (the semantics oracle for
+    the fast tokenizer below, and its fallback)."""
+
+    def __init__(self, sink):
+        super().__init__(convert_charrefs=True)
+        self.sink = sink
+
+    def handle_starttag(self, tag, attrs):
+        self.sink.start(tag, {k: (v if v is not None else "") for k, v in attrs}, False)
+
+    def handle_startendtag(self, tag, attrs):
+        self.sink.start(tag, {k: (v if v is not None else "") for k, v in attrs}, True)
+
+    def handle_endtag(self, tag):
+        self.sink.end(tag)
+
+    def handle_data(self, data):
+        self.sink.data(data)
+
+    def handle_comment(self, data):
+        self.sink.comment(data)
+
+
+def _feed_stdlib(html: str, sink):
+    feed = _StdlibFeed(sink)
+    feed.feed(html)
+    feed.close()
+    return sink
+
+
 def parse_html_stdlib(html: str) -> Element:
-    """Reference parse on stdlib html.parser (the semantics oracle for
-    the fast tokenizer below; kept callable for differential tests)."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root
+    """Reference parse on stdlib html.parser (kept callable for
+    differential tests)."""
+    return _feed_stdlib(html, _TreeBuilder()).root
 
 
 # ---------------------------------------------------------------------------
 # one-shot fast tokenizer
 #
-# html.parser is the hot 69% of the extract kernel (28 KB page ≈ 0.33 ms
-# parse): its generality — incremental feeds, updatepos line tracking,
+# html.parser's generality — incremental feeds, updatepos line tracking,
 # charref-split buffering, double-scanning every start tag — is all
 # overhead when the whole document is in hand.  _fast_tokenize mirrors
 # HTMLParser(convert_charrefs=True) semantics exactly (same tolerant
 # regexes, same endtag/bogus-comment/CDATA/EOF-recovery behavior,
 # verified by byte-parity differential tests against parse_html_stdlib
 # in tests/test_fast_parser.py and by the reference-fixture goldens) in
-# a single forward pass.  Inputs containing marked sections ("<![") and
-# any input that raises fall back to the stdlib path.
+# a single forward pass, and hands each token to a sink: the tree
+# builder above, or a sink that keeps only what its caller reads (the
+# goldie item sink in html_kernels builds no tree at all).  A marked
+# section ("<![" where markup starts) and any input that raises go
+# through stdlib html.parser into a fresh sink instead (see feed).
 # ---------------------------------------------------------------------------
 
 import re as _re
@@ -362,20 +405,31 @@ _LOCATE_START = _re.compile(
 """,
     _re.VERBOSE,
 )
-# fast path for the overwhelmingly common attr-less tag (<p>, <li>, …)
-_SIMPLE_START = _re.compile(r"<([a-zA-Z][a-zA-Z0-9-]*)>")
+# fast path for the overwhelmingly common start tag: a plain name and
+# only name="value" attributes, ASCII whitespace between them (<p>,
+# <a href="…">, …). Its parse is the stdlib's: a name stops where
+# tagfind stops, and a double-quoted value is taken whole.
+_SIMPLE_START = _re.compile(
+    r'<([a-zA-Z][a-zA-Z0-9-]*)'
+    r'((?:[ \t\n\r\f]+[a-zA-Z_:][-a-zA-Z0-9_:.]*="[^"]*")*)[ \t\n\r\f]*>'
+)
+_SIMPLE_ATTR = _re.compile(r'([a-zA-Z_:][-a-zA-Z0-9_:.]*)="([^"]*)"')
 _ENDTAGFIND = _re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
 _CDATA_CLOSE = {
-    t: _re.compile(r"</\s*%s\s*>" % t, _re.I) for t in _RAW_TEXT_TAGS
+    t: _re.compile(r"</\s*%s\s*>" % t, _re.I) for t in RAW_TEXT_TAGS
 }
 _STARTTAG_OPEN = _re.compile("<[a-zA-Z]")
 _COMMENT_CLOSE = _re.compile(r"--\s*>")
 
 
-def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
+class _MarkedSection(Exception):
+    """Raised by the fast tokenizer at '<![': html.parser takes over."""
+
+
+def _fast_tokenize(s: str, sink) -> None:
     n = len(s)
     i = 0
-    data = b.handle_data
+    start, end, data, comment = sink.start, sink.end, sink.data, sink.comment
     cdata_elem: str | None = None
     while i < n:
         if cdata_elem is not None:
@@ -384,7 +438,7 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
                 return  # unterminated CDATA content is dropped (stdlib)
             if i < m.start():
                 data(s[i : m.start()])
-            b.handle_endtag(cdata_elem)
+            end(cdata_elem)
             cdata_elem = None
             i = m.end()
             continue
@@ -392,7 +446,8 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
         if j < 0:
             j = n
         if i < j:
-            data(_unescape(s[i:j]))
+            text = s[i:j]
+            data(_unescape(text) if "&" in text else text)
         if j == n:
             return
         i = j
@@ -401,13 +456,15 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
         if nc and (("a" <= nc <= "z") or ("A" <= nc <= "Z")):
             # ---- start tag (mirrors parse_starttag) ----
             sm = _SIMPLE_START.match(s, i)
-            if sm is not None:  # attr-less <tag>: skip locate+attr scan
-                tag = sm.group(1).lower()
-                el = Element(tag)
-                b.stack[-1].append(el)
-                if tag not in VOID_ELEMENTS:
-                    b.stack.append(el)
-                if tag in _RAW_TEXT_TAGS:
+            if sm is not None:  # simple tag: skip the locate + attr scan
+                tag, araw = sm.groups()
+                tag = tag.lower()
+                attrs = {}
+                if araw:
+                    for aname, aval in _SIMPLE_ATTR.findall(araw):
+                        attrs[aname.lower()] = _unescape(aval) if "&" in aval else aval
+                start(tag, attrs, False)
+                if tag in RAW_TEXT_TAGS:
                     cdata_elem = tag
                 i = sm.end()
                 continue
@@ -446,39 +503,36 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
                     kpos = am.end()
                 tail = s[kpos:endpos].strip()
                 if tail == ">":
-                    el = Element(tag, attrs)
-                    b.stack[-1].append(el)
-                    if tag not in VOID_ELEMENTS:
-                        b.stack.append(el)
-                    if tag in _RAW_TEXT_TAGS:
+                    start(tag, attrs, False)
+                    if tag in RAW_TEXT_TAGS:
                         cdata_elem = tag
                 elif tail == "/>":
-                    b.stack[-1].append(Element(tag, attrs))
+                    start(tag, attrs, True)
                 else:
                     data(s[i:endpos])  # junk in tag: emitted raw (stdlib)
                 k = endpos
         elif nc == "/":
             # ---- end tag (mirrors parse_endtag) ----
-            gt = s.find(">", i + 1)
-            if gt < 0:
-                k = -1
+            em = _ENDTAGFIND.match(s, i)
+            if em is not None:
+                end(em.group(1).lower())
+                k = em.end()
             else:
-                gtpos = gt + 1
-                em = _ENDTAGFIND.match(s, i)
-                if em is not None:
-                    b.handle_endtag(em.group(1).lower())
-                    k = em.end()
+                gt = s.find(">", i + 1)
+                if gt < 0:
+                    k = -1
                 else:
+                    gtpos = gt + 1
                     nm = _TAGFIND.match(s, i + 2)
                     if nm is None:
                         if s[i : i + 3] == "</>":
                             k = i + 3
                         else:  # bogus comment
-                            b.handle_comment(s[i + 2 : gt])
+                            comment(s[i + 2 : gt])
                             k = gtpos
                     else:
                         g2 = s.find(">", nm.end())
-                        b.handle_endtag(nm.group(1).lower())
+                        end(nm.group(1).lower())
                         k = g2 + 1  # stdlib quirk: g2 may be -1 -> k=0
                         if k <= i:
                             return  # stdlib would loop on stale rawdata
@@ -487,21 +541,23 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
             if m is None:
                 k = -1
             else:
-                b.handle_comment(s[i + 4 : m.start()])
+                comment(s[i + 4 : m.start()])
                 k = m.end()
+        elif s.startswith("<![", i):
+            raise _MarkedSection  # html.parser's parse_marked_section
         elif s.startswith("<?", i):
             gt = s.find(">", i + 2)
-            k = -1 if gt < 0 else gt + 1  # handle_pi is a no-op builder hook
+            k = -1 if gt < 0 else gt + 1  # processing instruction: no event
         elif s.startswith("<!", i):
             if s[i : i + 9].lower() == "<!doctype":
                 gt = s.find(">", i + 9)
-                k = -1 if gt < 0 else gt + 1  # handle_decl unhooked
+                k = -1 if gt < 0 else gt + 1  # doctype: no event
             else:  # bogus comment
                 gt = s.find(">", i + 2)
                 if gt < 0:
                     k = -1
                 else:
-                    b.handle_comment(s[i + 2 : gt])
+                    comment(s[i + 2 : gt])
                     k = gt + 1
         elif i + 1 < n:
             data("<")
@@ -523,20 +579,25 @@ def _fast_tokenize(s: str, b: _TreeBuilder) -> None:
         i = k
 
 
-def parse_html(html: str) -> Element:
-    """Parse an HTML string into a document Element (name='[document]').
+def feed(html: str, make_sink):
+    """Tokenize a whole document into ``make_sink()`` and return the sink.
 
-    Fast one-shot tokenizer with stdlib-parser semantics; falls back to
-    html.parser for marked sections ('<![') or on any tokenizer error.
+    Fast one-shot tokenizer with stdlib-parser semantics; a document
+    with a marked section ('<![' where markup starts) or one the fast
+    pass fails on goes through html.parser instead, into a fresh sink
+    (the fast pass has fed part of the document to the first one).
     """
-    if "<![" in html:
-        return parse_html_stdlib(html)
-    builder = _TreeBuilder()
+    sink = make_sink()
     try:
-        _fast_tokenize(html, builder)
+        _fast_tokenize(html, sink)
+        return sink
     except Exception:
-        return parse_html_stdlib(html)
-    return builder.root
+        return _feed_stdlib(html, make_sink())
+
+
+def parse_html(html: str) -> Element:
+    """Parse an HTML string into a document Element (name='[document]')."""
+    return feed(html, _TreeBuilder).root
 
 
 def ensure_body(doc: Element) -> Element:

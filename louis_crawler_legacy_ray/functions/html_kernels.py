@@ -8,6 +8,13 @@ tests pin, tests/test_goldie.py:35-86):
   - ``extract_last_updated`` -> goldie.py:13 (M7)
   - ``extract_page``    -> goldie.py:10-45 (convert_to_crawl_item)
 
+``extract_page`` reads a goldie page in one tokenizer pass with no DOM:
+:class:`_GoldieItemSink` keeps the item fields and streams the cleaned
+``<main>`` out as the tokens arrive, and one candidate scan finds the
+``<meta>``/``<link>`` directives. The tree-taking forms (``clean_doc``,
+``extract_title``, ...) serve callers that already hold a parsed
+document, and the playwright profile.
+
 Pure functions over HTML strings; the Ray stage maps them over Arrow
 columns in stages/extract.py.
 """
@@ -16,10 +23,17 @@ from __future__ import annotations
 
 import re
 
-from .dom import Element, parse_html, strip_comments
+from .dom import (
+    RAW_TEXT_TAGS,
+    VOID_ELEMENTS,
+    Element,
+    attrs_html,
+    escape_text,
+    feed,
+    parse_html,
+    strip_comments,
+)
 from .urls import detect_language, extract_children, extract_links, fix_vhost
-
-_WS_RE = re.compile(r"\s+")
 
 # selectors dropped from <main> before serialization (goldie.py:49-53)
 _NOISE_TAGS = ("aside", "script")
@@ -29,8 +43,129 @@ _NOISE_CLASSES = ("pagedetails", "nojs-hide", "alert")
 def normalize_ws(s: str) -> str:
     """``re.sub(r'\\s+', ' ', s).strip()`` — the reference's whitespace
     normalizer, applied to titles, cleaned html and chunk text
-    (goldie.py:12,61, chunking.py:24). Semantics-bearing (M10)."""
-    return _WS_RE.sub(" ", s).strip()
+    (goldie.py:12,61, chunking.py:24). Semantics-bearing (M10).
+
+    ``str.split()`` splits on exactly the characters ``\\s`` matches
+    (both are ``str.isspace``), so the split/join is the same function
+    at a quarter of the cost."""
+    return " ".join(s.split())
+
+
+def _noise_class(cls: str) -> bool:
+    return any(c in _NOISE_CLASSES for c in cls.split())
+
+
+class _GoldieItemSink:
+    """Token sink (see ``dom._TreeBuilder``) for the goldie item, with
+    no tree: it records the text of every ``<title>`` in start-tag
+    order, the text of the first ``<time>`` and every ``a[href]``, and
+    streams the first ``<main>`` out as :func:`clean_doc` would
+    serialize it — noise subtrees and comments skipped, a close tag
+    when an element is popped, every open element closed at EOF.
+
+    ``stack`` holds the open tag names, the document root at index 0;
+    a depth is an index into it, 0 meaning "not open"."""
+
+    __slots__ = (
+        "stack", "titles", "open_titles", "time", "time_depth", "hrefs",
+        "out", "main_depth", "noise_depth",
+    )
+
+    def __init__(self):
+        self.stack = ["[document]"]
+        self.titles: list[list[str]] = []  # text parts, one list per <title>
+        self.open_titles: list[tuple[int, list[str]]] = []
+        self.time: list[str] | None = None  # text parts of the first <time>
+        self.time_depth = 0
+        self.hrefs: list[str] = []
+        self.out: list[str] | None = None  # serialized <main>, once it starts
+        self.main_depth = 0
+        self.noise_depth = 0  # outermost open noise element inside <main>
+
+    def start(self, tag, attrs, closed):
+        push = not closed and tag not in VOID_ELEMENTS
+        if self.main_depth:
+            if self.noise_depth:
+                pass  # inside a dropped subtree
+            elif tag in _NOISE_TAGS or (
+                "class" in attrs and _noise_class(attrs["class"])
+            ):
+                if push:
+                    self.noise_depth = len(self.stack)
+            elif push:
+                self.out.append(f"<{tag}{attrs_html(attrs)}>")
+            elif tag in VOID_ELEMENTS:
+                self.out.append(f"<{tag}{attrs_html(attrs)}/>")
+            else:
+                self.out.append(f"<{tag}{attrs_html(attrs)}></{tag}>")
+        elif tag == "main" and self.out is None:
+            if push:
+                self.out = [f"<main{attrs_html(attrs)}>"]
+                self.main_depth = len(self.stack)
+            else:
+                self.out = [f"<main{attrs_html(attrs)}></main>"]
+        if tag == "a":
+            if "href" in attrs:
+                self.hrefs.append(attrs["href"])
+        elif tag == "title":
+            parts: list[str] = []
+            self.titles.append(parts)
+            if push:
+                self.open_titles.append((len(self.stack), parts))
+        elif tag == "time" and self.time is None:
+            self.time = []
+            if push:
+                self.time_depth = len(self.stack)
+        if push:
+            self.stack.append(tag)
+
+    def end(self, tag):
+        stack = self.stack
+        i = len(stack) - 1
+        if stack[i] != tag:  # not the innermost: pop to the nearest match
+            for i in range(i - 1, 0, -1):
+                if stack[i] == tag:
+                    break
+            else:
+                return  # stray end tag: ignored
+        main_depth = self.main_depth
+        if main_depth:
+            # the popped elements inside <main> close, except inside noise
+            out = self.out
+            shown = self.noise_depth or len(stack)
+            for k in range(shown - 1, max(i, main_depth) - 1, -1):
+                out.append(f"</{stack[k]}>")
+            if i <= self.noise_depth:
+                self.noise_depth = 0
+            if i <= main_depth:
+                self.main_depth = 0
+        if self.open_titles:
+            self.open_titles = [t for t in self.open_titles if t[0] < i]
+        if i <= self.time_depth:
+            self.time_depth = 0
+        del stack[i:]
+
+    def data(self, data):
+        if self.main_depth and not self.noise_depth:
+            self.out.append(
+                data if self.stack[-1] in RAW_TEXT_TAGS else escape_text(data)
+            )
+        if self.open_titles:
+            for _, parts in self.open_titles:
+                parts.append(data)
+        if self.time_depth:
+            self.time.append(data)
+
+    def comment(self, data):
+        pass  # comments are dropped, and are no text
+
+    def cleaned(self) -> str:
+        """The :func:`clean_doc` output; closes what EOF left open."""
+        if self.out is None:
+            return ""
+        while self.main_depth:  # EOF: close innermost first
+            self.end(self.stack[-1])
+        return normalize_ws("<html><body>" + "".join(self.out) + "</body></html>")
 
 
 def clean_html_playwright(html: str) -> str:
@@ -41,7 +176,12 @@ def clean_html_playwright(html: str) -> str:
     no <img>) removed. The goldie profile (:func:`clean_html`) is the
     canonical golden-tested one (SURVEY §2.2 M5 note); this variant is
     selectable via ``extract_page(profile='playwright')``."""
-    doc = parse_html(html)
+    return clean_doc_playwright(parse_html(html))
+
+
+def clean_doc_playwright(doc: Element) -> str:
+    """clean_html_playwright over an already-parsed document (mutates
+    it)."""
     root = doc.find("main") or doc.find("article")
     if root is None:
         root = doc.find(
@@ -57,7 +197,7 @@ def clean_html_playwright(html: str) -> str:
     for cls in ("pagedetails", "nojs-hide", "alert"):
         for el in root.select_class(cls):
             el.extract()
-    strip_comments(root if root.name != "[document]" else root)
+    strip_comments(root)
     # remove empty elements (no stripped text, no img descendant)
     for el in list(root.iter_elements()):
         if el.parent is None:
@@ -81,16 +221,15 @@ def clean_html(html: str) -> str:
 
     Returns '' when the page has no <main> (reference raises there; our
     synthetic corpus always has one — '' marks malformed input as data,
-    not fault).
+    not fault). One tokenizer pass, no tree (:class:`_GoldieItemSink`).
     """
-    return clean_doc(parse_html(html))
+    return feed(html, _GoldieItemSink).cleaned()
 
 
 def clean_doc(doc: Element) -> str:
-    """clean_html over an already-parsed document — one traversal to
-    collect the noise subtrees, comments skipped during serialization
-    (identical output, ~half the kernel cost of re-walking per
-    selector)."""
+    """clean_html over an already-parsed document (mutates it): the
+    noise subtrees are collected in one traversal and detached,
+    comments skipped during serialization."""
     main = doc.find("main")
     if main is None:
         return ""
@@ -142,29 +281,23 @@ def extract_page(
     the item) and ``links`` (M2 filtered+canonicalized URLs that become
     new frontier candidates).
     """
-    # ONE parse per page: field extraction in a single traversal, then
-    # cleaning mutates the same tree (the reference re-selects from one
-    # parsed response too; re-parsing html per kernel doubled the cost)
-    doc = parse_html(html)
-    titles: list[str] = []
-    first_time = None
-    hrefs: list[str] = []
-    for el in doc.iter_elements():
-        if el.name == "title":
-            titles.append(el.get_text())
-        elif el.name == "time" and first_time is None:
-            first_time = el.get_text()
-        elif el.name == "a":
-            href = el.attrs.get("href")
-            if isinstance(href, str):
-                hrefs.append(href)
-    title = normalize_ws(" ".join(titles))
-    last_updated = first_time
-    canon_url = fix_vhost(url)
     if profile == "goldie":
-        cleaned = clean_doc(doc)
+        # one tokenizer pass, no tree: the sink keeps the fields and
+        # streams the cleaned <main> out
+        item = feed(html, _GoldieItemSink)
+        title = normalize_ws(" ".join("".join(t) for t in item.titles))
+        last_updated = None if item.time is None else "".join(item.time)
+        hrefs = item.hrefs
+        cleaned = item.cleaned()
     else:
-        cleaned = clean_html_playwright(html)
+        # the fields are read before the cleaner mutates the one tree
+        doc = parse_html(html)
+        title = extract_title(doc)
+        last_updated = extract_last_updated(doc)
+        hrefs = extract_hrefs(doc)
+        cleaned = clean_doc_playwright(doc)
+    refresh, robots, canonical = _head_directives(html)
+    canon_url = fix_vhost(url)
     return {
         "url": canon_url,
         "title": title,
@@ -174,13 +307,77 @@ def extract_page(
         "last_updated": last_updated,
         "children": extract_children(hrefs, url, allowed_domains),
         "links": extract_links(hrefs, url, allowed_domains),
-        "redirect": meta_refresh_target(url, html, allowed_domains),
-        "meta_robots": meta_robots(html),
-        "canonical": canonical_target(url, html, allowed_domains),
+        "redirect": _refresh_target(refresh, url, allowed_domains),
+        "meta_robots": _robots_directives(robots),
+        "canonical": _canonical_target(canonical, url, allowed_domains),
     }
 
 
-_META_REFRESH_RX = None
+# the head directives are read off the raw HTML, so they also match
+# inside comments and scripts
+_META_REFRESH_RX = re.compile(
+    r"<meta\s+http-equiv=[\"']refresh[\"']\s+"
+    r"content=[\"']\s*\d+\s*;\s*url=([^\"'>]+)[\"']",
+    re.IGNORECASE,
+)
+_META_ROBOTS_RX = re.compile(
+    r"<meta\s+(?:name=[\"']robots[\"']\s+content=[\"']([^\"'>]*)[\"']"
+    r"|content=[\"']([^\"'>]*)[\"']\s+name=[\"']robots[\"'])",
+    re.IGNORECASE,
+)
+_CANONICAL_RX = re.compile(
+    r"<link\s+(?:rel=[\"']canonical[\"']\s+href=[\"']([^\"'>]+)[\"']"
+    r"|href=[\"']([^\"'>]+)[\"']\s+rel=[\"']canonical[\"'])",
+    re.IGNORECASE,
+)
+# Every directive pattern starts with `<meta\s` or `<link\s`, and `<`
+# cannot occur inside that prefix, so this scan stops at every position
+# where one of them can match: a pattern's first .match over these
+# candidates is exactly its .search.
+_HEAD_TAG_RX = re.compile(r"<(?:meta|link)\s", re.IGNORECASE)
+_HEAD_RXS = (_META_REFRESH_RX, _META_ROBOTS_RX, _CANONICAL_RX)
+
+
+def _head_directives(html: str) -> list:
+    """``[rx.search(html) for rx in _HEAD_RXS]`` in one scan."""
+    found = [None] * len(_HEAD_RXS)
+    left = len(_HEAD_RXS)
+    for cand in _HEAD_TAG_RX.finditer(html):
+        pos = cand.start()
+        for k, rx in enumerate(_HEAD_RXS):
+            if found[k] is None:
+                m = rx.match(html, pos)
+                if m is not None:
+                    found[k] = m
+                    left -= 1
+        if not left:
+            break
+    return found
+
+
+def _refresh_target(m, url: str, allowed_domains) -> str | None:
+    if not m:
+        return None
+    links = extract_links([m.group(1).strip()], url, allowed_domains)
+    return links[0] if links else None
+
+
+def _canonical_target(m, url: str, allowed_domains) -> str | None:
+    if not m:
+        return None
+    links = extract_links([(m.group(1) or m.group(2)).strip()], url, allowed_domains)
+    return links[0] if links else None
+
+
+def _robots_directives(m) -> str:
+    if not m:
+        return ""
+    toks = {t.strip().lower() for t in (m.group(1) or m.group(2) or "").split(",")}
+    noindex = "noindex" in toks or "none" in toks
+    nofollow = "nofollow" in toks or "none" in toks
+    return ",".join(
+        d for d, on in (("noindex", noindex), ("nofollow", nofollow)) if on
+    )
 
 
 def meta_refresh_target(
@@ -191,23 +388,9 @@ def meta_refresh_target(
     candidate (extract_links rules) — the HTML-level stand-in for an
     HTTP 3xx in a corpus of stored bodies. None when the page has no
     refresh directive or its target is filtered (pdf/mailto/#/…)."""
-    import re as _re
-
-    global _META_REFRESH_RX
-    if _META_REFRESH_RX is None:
-        _META_REFRESH_RX = _re.compile(
-            r"<meta\s+http-equiv=[\"']refresh[\"']\s+"
-            r"content=[\"']\s*\d+\s*;\s*url=([^\"'>]+)[\"']",
-            _re.IGNORECASE,
-        )
-    m = _META_REFRESH_RX.search(html or "")
-    if not m:
-        return None
-    links = extract_links([m.group(1).strip()], url, allowed_domains)
-    return links[0] if links else None
-
-
-_CANONICAL_RX = None
+    return _refresh_target(
+        _META_REFRESH_RX.search(html or ""), url, allowed_domains
+    )
 
 
 def canonical_target(
@@ -219,25 +402,7 @@ def canonical_target(
     indexer). Absolutized + canonicalized EXACTLY like a frontier link
     candidate so group keys agree with crawled URLs; None when absent
     or filtered. Either attribute order matches."""
-    import re as _re
-
-    global _CANONICAL_RX
-    if _CANONICAL_RX is None:
-        _CANONICAL_RX = _re.compile(
-            r"<link\s+(?:rel=[\"']canonical[\"']\s+href=[\"']([^\"'>]+)[\"']"
-            r"|href=[\"']([^\"'>]+)[\"']\s+rel=[\"']canonical[\"'])",
-            _re.IGNORECASE,
-        )
-    m = _CANONICAL_RX.search(html or "")
-    if not m:
-        return None
-    links = extract_links(
-        [(m.group(1) or m.group(2)).strip()], url, allowed_domains
-    )
-    return links[0] if links else None
-
-
-_META_ROBOTS_RX = None
+    return _canonical_target(_CANONICAL_RX.search(html or ""), url, allowed_domains)
 
 
 def meta_robots(html: str) -> str:
@@ -250,27 +415,7 @@ def meta_robots(html: str) -> str:
     de-facto Googlebot/Scrapy reading. Attribute order ``name`` first
     or ``content`` first both match (regex scan like meta_refresh —
     one cheap pass, no extra DOM walk)."""
-    import re as _re
-
-    global _META_ROBOTS_RX
-    if _META_ROBOTS_RX is None:
-        _META_ROBOTS_RX = _re.compile(
-            r"<meta\s+(?:name=[\"']robots[\"']\s+content=[\"']([^\"'>]*)[\"']"
-            r"|content=[\"']([^\"'>]*)[\"']\s+name=[\"']robots[\"'])",
-            _re.IGNORECASE,
-        )
-    m = _META_ROBOTS_RX.search(html or "")
-    if not m:
-        return ""
-    toks = {
-        t.strip().lower()
-        for t in (m.group(1) or m.group(2) or "").split(",")
-    }
-    noindex = "noindex" in toks or "none" in toks
-    nofollow = "nofollow" in toks or "none" in toks
-    return ",".join(
-        d for d, on in (("noindex", noindex), ("nofollow", nofollow)) if on
-    )
+    return _robots_directives(_META_ROBOTS_RX.search(html or ""))
 
 
 def extract_anchors(url: str, html: str) -> list[tuple[str, str]]:

@@ -2,9 +2,9 @@
 
 The goldie ``convert_to_crawl_item`` (reference goldie.py:10-45) as a
 stateless ``map_batches`` transform over zero-copy Arrow batches. The
-per-row HTML parse is inherently row-wise Python (DOM recursion), but it
-runs batch-wise over Arrow columns and emits Arrow arrays — no pandas
-conversion, no Python-object blocks.
+per-row extract is row-wise Python (one tokenizer pass per page, no
+DOM), but it runs batch-wise over Arrow columns and emits Arrow arrays
+— no pandas conversion, no Python-object blocks.
 
 Usage:
     ds.map_batches(extract_batch, batch_format="pyarrow", batch_size=128)
@@ -41,6 +41,7 @@ def extract_batch(
     batch: pa.Table,
     now_us: int = 0,
     allowed_domains: list[str] | None = None,
+    profile: str = "goldie",
 ) -> pa.Table:
     """pages(url, html[, depth]) -> crawl_items.
 
@@ -48,6 +49,7 @@ def extract_batch(
     int(time.time()), goldie.py:16 — injected here for reproducibility,
     SURVEY §2.2 M9). ``depth`` passes through when present (set by the
     frontier; items.py:18 note: only the parallel spider sets it).
+    ``profile`` picks the cleaning profile (``extract_page``'s option).
     """
     urls = batch["url"].to_pylist()
     htmls = batch["html"].to_pylist()
@@ -56,7 +58,7 @@ def extract_batch(
         if "depth" in batch.column_names
         else [0] * len(urls)
     )
-    return extract_items(urls, htmls, depths, now_us, allowed_domains)
+    return extract_items(urls, htmls, depths, now_us, allowed_domains, profile)
 
 
 def extract_items(
@@ -65,6 +67,7 @@ def extract_items(
     depths: list,
     now_us: int = 0,
     allowed_domains: list[str] | None = None,
+    profile: str = "goldie",
 ) -> pa.Table:
     """Core of extract_batch over plain Python lists — lets callers that
     already hold row-selected strings (the round task's corpus source
@@ -88,7 +91,9 @@ def extract_items(
     for url, html, depth in zip(urls, htmls, depths):
         if isinstance(html, bytes):
             html = html.decode("utf-8", errors="replace")
-        rec = extract_page(url, html, now=now_us, allowed_domains=allowed_domains)
+        rec = extract_page(
+            url, html, now=now_us, allowed_domains=allowed_domains, profile=profile
+        )
         out["url"].append(rec["url"])
         out["title"].append(rec["title"])
         out["lang"].append(rec["lang"])

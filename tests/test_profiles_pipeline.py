@@ -67,3 +67,25 @@ def test_stage_pipeline_compose(ray_session):
     out = pipe.apply(ds).to_pandas()
     assert list(out["z"]) == [20, 30, 40]
     assert list(out.columns) == ["x", "z"]
+
+
+def test_config_docstring_extract_stage_runs(ray_session):
+    """The pipelines/config.py example stage, verbatim."""
+    from louis_crawler_legacy_ray.stages.extract import extract_batch
+
+    pipe = StagePipeline(
+        [Stage("extract", extract_batch, kwargs={"profile": "playwright"})]
+    )
+    pages = pa.table(
+        {
+            "url": pa.array(["http://a.ca/x", "http://a.ca/y"], pa.string()),
+            "html": pa.array([HTML_BARE, HTML_MAIN], pa.string()),
+        }
+    )
+    out = pipe.apply(ray.data.from_arrow(pages)).to_pandas()
+    got = dict(zip(out["url"], out["html_content"]))
+    assert got == {
+        "http://a.ca/x": clean_html_playwright(HTML_BARE),
+        "http://a.ca/y": clean_html_playwright(HTML_MAIN),
+    }
+    assert "bare text" in got["http://a.ca/x"]

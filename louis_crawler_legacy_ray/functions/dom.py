@@ -349,10 +349,21 @@ class _StdlibFeed(HTMLParser):
         self.sink.comment(data)
 
 
+class MarkupRejected(AssertionError):
+    """html.parser refused the document: a malformed marked section
+    such as ``<![v>`` raises in ``_markupbase.parse_marked_section``.
+    An AssertionError, the type html.parser raises, so the parser's
+    raise behaviour is kept; callers that skip such a page catch this
+    class and nothing wider."""
+
+
 def _feed_stdlib(html: str, sink):
     feed = _StdlibFeed(sink)
-    feed.feed(html)
-    feed.close()
+    try:
+        feed.feed(html)
+        feed.close()
+    except AssertionError as e:
+        raise MarkupRejected(*e.args) from e
     return sink
 
 

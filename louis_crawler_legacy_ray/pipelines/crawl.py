@@ -4,8 +4,11 @@ actors, with a pluggable per-round expansion stage.
 
 Round r (SURVEY §3.4):
 
-    take:    every shard returns its admissible pending batch, sorted
-             (depth, url), per-host politeness budget applied
+    take:    every shard selects its admissible pending batch, sorted
+             (depth, url), per-host politeness budget applied, and
+             returns it in the same call: a small meta (count, bucket
+             ranges, the shard's counts) and the table as a
+             driver-owned ref
     expand:  the "fetch" — for the pages corpus this is a semi-join of
              the pages table against the selected URL set (file-pruned
              to the URL-hash buckets the round needs when the corpus
@@ -18,8 +21,13 @@ Round r (SURVEY §3.4):
              never loops over URLs.
     finish:  shards quarantine still-in-flight URLs as errored (the
              reference's 404 path, responses.py:30-35,
-             goldie_playwright_parallel.py:831-845)
+             goldie_playwright_parallel.py:831-845); the stats carry
+             each shard's counts (the round's pending lag)
     checkpoint: per-shard parquet dump + lineage manifest + metrics
+
+So a round costs the driver four sequential waves of shard calls:
+take, the ``counts()`` poll that reconciles the round tasks'
+deliveries, finish_round, and dump when checkpointing.
 
 The reference's production loop is the same shape with a single-process
 seen set and a ProcessPoolExecutor batch barrier
@@ -483,30 +491,28 @@ class Frontier:
         O(n_shards x 32) sample keys per refinement step and one final
         <=4096-key exact fetch, then every shard truncates its own
         selection locally — the overflow returns to pending INSIDE the
-        owning shard (token refunds included), no driver round-trip."""
+        owning shard (token refunds included), no driver round-trip.
+
+        ``take`` and ``truncate_selection`` both return the shard's
+        (meta, table) part, so the selection reaches the driver in the
+        same call that made it."""
         cfg = self.cfg
-        summaries = ray.get([s.take.remote(round_no) for s in self.shards])
-        total = sum(s["count"] for s in summaries)
+        metas, refs = _selection_parts(
+            s.take.options(num_returns=2).remote(round_no, n_buckets)
+            for s in self.shards
+        )
+        total = sum(m["count"] for m in metas)
         driver_rows = 0
         if cfg.round_limit is not None and total > cfg.round_limit:
             t_key, driver_rows = _global_threshold(
                 self.shards, cfg.round_limit, total
             )
-            kept = ray.get(
-                [s.truncate_selection.remote(t_key) for s in self.shards]
+            metas, refs = _selection_parts(
+                s.truncate_selection.options(num_returns=2).remote(t_key, n_buckets)
+                for s in self.shards
             )
-            total = sum(kept)
+            total = sum(m["count"] for m in metas)
             assert total == cfg.round_limit, (total, cfg.round_limit)
-        metas, refs = [], []
-        if total:
-            meta_refs = []
-            for s in self.shards:
-                m_ref, t_ref = s.selection_part.options(num_returns=2).remote(
-                    n_buckets
-                )
-                meta_refs.append(m_ref)
-                refs.append(t_ref)
-            metas = ray.get(meta_refs)
         return RoundSelection(
             total=total,
             metas=metas,
@@ -547,22 +553,35 @@ class Frontier:
         return tot
 
 
+def _selection_parts(pairs) -> tuple[list[dict], list]:
+    """ray.get the small metas of (meta, table) ref pairs; the tables
+    stay driver-owned refs."""
+    meta_refs, refs = zip(*pairs)
+    return ray.get(list(meta_refs)), list(refs)
+
+
 @dataclass
 class RoundSelection:
     """One round's frontier selection as the driver sees it: counts +
     per-shard metas (bucket -> (offset, len) ranges when the corpus is
-    bucketed) + DRIVER-OWNED ObjectRefs of the shard selection tables
-    (url, depth). The tables live in plasma (spillable) and are only
-    ever materialized (a) inside data-plane tasks, sliced to the
-    buckets each task's corpus blocks can contain, or (b) driver-side
-    for test-scale expands, which record the materialized row count in
-    ``driver_rows``."""
+    bucketed, and the shard's round-start ``counts()``) + DRIVER-OWNED
+    ObjectRefs of the shard selection tables (url, depth). The tables
+    live in plasma (spillable) and are only ever materialized (a)
+    inside data-plane tasks, sliced to the buckets each task's corpus
+    blocks can contain, or (b) driver-side for test-scale expands,
+    which record the materialized row count in ``driver_rows``."""
 
     total: int
     metas: list[dict]
     refs: list
     n_buckets: int | None
     driver_rows: int = 0
+
+    @property
+    def counts(self) -> list[dict]:
+        """Per-shard ``counts()`` as of the selection (take, or the
+        truncation after it)."""
+        return [m["counts"] for m in self.metas]
 
     def materialize(self) -> pa.Table:
         """Concat + (depth, url)-sort the selection on the CALLER —
@@ -1055,17 +1074,18 @@ def _round_task(
         return _counts_table(0, 0, ts0, ts1 - ts0, 0.0, 0.0, ts1)
     take = pa.array(sel_index)
     depths = sel["depth"].combine_chunks().take(take).to_pylist()
+    # OPIC: each fetched page's frozen cash rides along so the control
+    # builder can split it over the page's out-links
     items = extract_items(
         urls,
         htmls,
         depths,
         now_us=policy.now_us,
         allowed_domains=policy.allowed_domains,
+        extra={"cash": sel["cash"].combine_chunks().take(take)}
+        if "cash" in sel.column_names
+        else None,
     )
-    if "cash" in sel.column_names:
-        # OPIC: each fetched page's frozen cash rides along so the
-        # control builder can split it over the page's out-links
-        items = items.append_column("cash", sel["cash"].combine_chunks().take(take))
     ts2 = time.time()
     if out_part is not None:
         _write_items_part(items, out_part, f"part-{task_idx:05d}")
@@ -1224,6 +1244,7 @@ def _await_round(count_refs, frontier: "Frontier", round_no: int, base: list) ->
 
 def _run_round(
     plan: list,
+    sel: RoundSelection,
     frontier: Frontier,
     policy: RoundPolicy,
     out_dir: str | None,
@@ -1238,7 +1259,11 @@ def _run_round(
         if out_dir is not None
         else None
     )
-    base = ray.get([s.counts.remote() for s in frontier.shards])
+    # the reconciliation base is the selection's per-shard counts:
+    # nothing delivers to a shard between take and this submission
+    # (the previous round's deliveries were reconciled before its
+    # finish_round), so they equal a fresh counts() here
+    base = sel.counts
     t0 = time.perf_counter()
     count_refs = [
         _round_task.remote(source, sel_parts, frontier.shards, policy, out_part, i)
@@ -1277,7 +1302,7 @@ def fetcher_expand(
             for meta, ref in zip(sel.metas, sel.refs)
             for off in range(0, meta["count"], chunk_size)
         ]
-        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
+        return _run_round(plan, sel, frontier, policy, out_dir, round_no, part_tag)
 
     return expand
 
@@ -1344,7 +1369,7 @@ def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us:
     ) -> dict:
         prime_pages_cache(pages_path)
         # buckets the round's URLs hash into — computed SHARD-SIDE at
-        # selection_part time and unioned here from the small metas;
+        # take time and unioned here from the small metas;
         # the driver never touches the round's URL strings (r3)
         needed = sel.bucket_union()
         # bucket pruning: a round submits tasks ONLY for blocks that
@@ -1387,7 +1412,7 @@ def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us:
             parts = _sel_parts(sel, gb if needed is not None else None)
             if grp and parts:
                 plan.append((_CorpusPages(grp), parts))
-        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
+        return _run_round(plan, sel, frontier, policy, out_dir, round_no, part_tag)
 
     # run_frontier reads this to ask take_round for bucket-grouped
     # shard selections (shard-side url_bucket + range metadata)
@@ -1603,7 +1628,7 @@ def run_frontier(
             sel = frontier.take_round(n_buckets=nb, round_no=round_no)
             t_take = time.perf_counter() - t0
             if sel.total == 0:
-                if cfg.max_retries > 0 and frontier.counts().get("retrying", 0):
+                if cfg.max_retries > 0 and any(c["retrying"] for c in sel.counts):
                     # nothing eligible THIS round but backoff slots are
                     # still pending: the scheduler idles this tick (no
                     # order part, no metrics row) and re-takes at the
@@ -1650,7 +1675,7 @@ def run_frontier(
                         "fetched": stats["fetched"],
                         "errored": 0,
                         "new_candidates": stats["admitted"],
-                        "pending_lag": frontier.counts()["pending"],
+                        "pending_lag": sum(x["counts"]["pending"] for x in salv),
                         "seconds": time.perf_counter() - t0,
                         "driver_rows": sel.driver_rows,
                     }
@@ -1696,7 +1721,6 @@ def run_frontier(
             if order_dir is None:
                 order_refs.extend(part_refs)
             dt = time.perf_counter() - t0
-            counts = frontier.counts()
             row = {
                 "round": round_no,
                 "selected": sel.total,
@@ -1704,7 +1728,7 @@ def run_frontier(
                 "errored": n_errored,
                 "retried": n_retried,
                 "new_candidates": stats["admitted"],
-                "pending_lag": counts["pending"],
+                "pending_lag": sum(f["counts"]["pending"] for f in fin),
                 "seconds": dt,
                 "urls_per_sec": sel.total / dt if dt > 0 else 0.0,
                 "t_take": t_take,

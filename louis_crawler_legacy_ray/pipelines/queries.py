@@ -26,7 +26,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
-from ..stages import pool_size
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.pages import SITE, pages_from_documents, write_pages_parquet
@@ -34,7 +33,6 @@ from ..stages import dedup as dd
 from ..stages import textstats as ts
 from ..stages.ann import brute_force_topk, lsh_topk
 from ..stages.extract import extract_batch
-from ..stages.multimodal import FrameSampleStage, ImageDecodeStage, media_from_documents
 
 # --------------------------------------------------------------------------
 # helpers
@@ -5203,39 +5201,6 @@ def q_embed_chunks(sf_dir: str):
 
     chunks = q_chunk_documents(sf_dir)
     return embed_chunks(chunks, mode="stub", concurrency=2)
-
-
-def q_media_decode(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    media = docs.map_batches(media_from_documents, batch_format="pyarrow")
-    return media.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"real": False},
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=pool_size(),
-    )
-
-
-def q_frame_sample(sf_dir: str):
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    media = docs.map_batches(media_from_documents, batch_format="pyarrow")
-    return media.map_batches(FrameSampleStage, batch_format="pyarrow", concurrency=1)
-
-
-def q_media_resize(sf_dir: str):
-    """decode -> resize chained actor-pool stages (the multimodal
-    preprocessing pipeline shape; geometry real, codec stubbed)."""
-    from ..stages.multimodal import ImageResizeStage
-
-    decoded = q_media_decode(sf_dir)
-    return decoded.map_batches(
-        ImageResizeStage,
-        fn_constructor_kwargs={"real": False, "max_side": 224},
-        batch_format="pyarrow",
-        batch_size=128,
-        concurrency=pool_size(),
-    )
 
 
 def q_top_orders_per_customer(sf_dir: str):
@@ -12105,9 +12070,6 @@ QUERIES = {
     "cosine_near_lsh": q_cosine_near_lsh,
     "chunk_documents": q_chunk_documents,
     "embed_chunks": q_embed_chunks,
-    "media_decode": q_media_decode,
-    "frame_sample": q_frame_sample,
-    "media_resize": q_media_resize,
 }
 
 ORACLE_SQL = {

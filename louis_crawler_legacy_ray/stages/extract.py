@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..functions.dom import MarkupRejected
 from ..functions.html_kernels import extract_page
 
 CRAWL_ITEMS_SCHEMA = pa.schema(
@@ -68,12 +69,18 @@ def extract_items(
     now_us: int = 0,
     allowed_domains: list[str] | None = None,
     profile: str = "goldie",
+    extra: dict[str, pa.Array] | None = None,
 ) -> pa.Table:
     """Core of extract_batch over plain Python lists — lets callers that
     already hold row-selected strings (the round task's corpus source
     picks html values straight out of the pinned corpus block by index,
     one Arrow→str copy instead of a filter copy plus to_pylist) skip the
-    table detour."""
+    table detour.
+
+    A page html.parser rejects (:class:`MarkupRejected`) yields no row:
+    in a crawl it is never recorded fetched, so it ends errored like a
+    failed fetch and sends no candidates. ``extra`` columns (one value
+    per input row) ride along, aligned to the rows kept."""
     out: dict[str, list] = {
         "url": [],
         "title": [],
@@ -88,12 +95,17 @@ def extract_items(
         "meta_robots": [],
         "canonical": [],
     }
-    for url, html, depth in zip(urls, htmls, depths):
+    kept: list[int] = []
+    for i, (url, html, depth) in enumerate(zip(urls, htmls, depths)):
         if isinstance(html, bytes):
             html = html.decode("utf-8", errors="replace")
-        rec = extract_page(
-            url, html, now=now_us, allowed_domains=allowed_domains, profile=profile
-        )
+        try:
+            rec = extract_page(
+                url, html, now=now_us, allowed_domains=allowed_domains, profile=profile
+            )
+        except MarkupRejected:
+            continue
+        kept.append(i)
         out["url"].append(rec["url"])
         out["title"].append(rec["title"])
         out["lang"].append(rec["lang"])
@@ -106,7 +118,7 @@ def extract_items(
         out["redirect"].append(rec.get("redirect"))
         out["meta_robots"].append(rec.get("meta_robots", ""))
         out["canonical"].append(rec.get("canonical"))
-    return pa.table(
+    tbl = pa.table(
         {
             "url": pa.array(out["url"], pa.string()),
             "title": pa.array(out["title"], pa.string()),
@@ -122,6 +134,11 @@ def extract_items(
             "canonical": pa.array(out["canonical"], pa.string()),
         }
     )
+    for name, col in (extra or {}).items():
+        if len(kept) < len(urls):
+            col = col.take(pa.array(kept, pa.int64()))
+        tbl = tbl.append_column(name, col)
+    return tbl
 
 
 def edges_batch(batch: pa.Table) -> pa.Table:

@@ -26,10 +26,17 @@ enqueue/take semantics, :606-664):
     enqueue(urls, depths, hosts):  dropped if url ∈ seen ∪ errored ∪
                           pending ∪ in_flight, else appended to pending
     take(round_no):       pending sorted by the priority key; per-host
-                          budget applied; selected move to in_flight
+                          budget applied; selected move to in_flight;
+                          returns the selection part (meta + table),
+                          the meta carrying the shard's counts
     record_fetched(urls): in_flight -> seen
     finish_round(round_no): what is still in_flight -> errored (or a
-                          retry slot); the round's order part is emitted
+                          retry slot); the round's order part is
+                          emitted; the stats carry the shard's counts
+
+So the driver meets each shard once per step of a round: take,
+finish_round and (with checkpointing) dump, plus the ``counts()`` poll
+that reconciles the round tasks' deliveries.
 
 A shard is built from the crawl's ``CrawlConfig`` (its
 ``priority_scores`` cut to this shard's slice) and reads every budget,
@@ -545,13 +552,15 @@ class FrontierShard:
         g = self.cfg.ip_groups
         return g.get(host, host) if g else host
 
-    def take(self, round_no: int) -> dict:
-        """Select round ``round_no``'s fetch batch and HOLD it in this
-        shard: the driver receives only ``{"count": n}`` and steers the
-        round through probes (sel_ranks / sel_sample /
-        truncate_selection) and refs (selection_part), so no table
-        proportional to the round ever crosses to the driver (r3
-        distributed round control plane).
+    def take(self, round_no: int, n_buckets: int | None = None):
+        """Select round ``round_no``'s fetch batch, HOLD it in this
+        shard and return it as the (meta, table) part (see _part) —
+        called with num_returns=2, so the driver ray.gets only the
+        small meta (count, bucket ranges, this shard's counts()) and
+        keeps the table as a driver-owned ref. Under a binding
+        ``round_limit`` the driver steers the held selection through
+        probes (sel_ranks / sel_sample) and truncate_selection; no
+        table proportional to the round ever crosses to the driver.
 
         Pending (plus retry entries whose backoff has elapsed) is
         sorted by the ``cfg.priority`` key — the BFS (depth, url) order
@@ -593,7 +602,7 @@ class FrontierShard:
             _sel_key(cfg.priority, d, u, score_map)
             for d, u in zip(self._sel[1], self._sel[0])
         ]
-        return {"count": len(self._sel[0])}
+        return self._part(n_buckets)
 
     def _select(self, round_no: int, score_map: dict) -> tuple[list, list, list]:
         import itertools as _it
@@ -709,18 +718,21 @@ class FrontierShard:
         idx = sorted({a + int((i + 1) * step) - 1 for i in range(k)} | {b - 1})
         return [sk[i] for i in idx]
 
-    def truncate_selection(self, t_key: tuple[int, str]) -> int:
+    def truncate_selection(
+        self, t_key: tuple[int, str], n_buckets: int | None = None
+    ):
         """Keep only selection rows with key <= t_key; the tail goes
         BACK to pending in this shard (local requeue — the global
         round_limit overflow never round-trips through the driver).
         Under token_bucket politeness take charged a token per selected
         URL; the returned URLs are credited back (bounded by the burst
         cap) so throttled hosts keep their documented long-run rate of
-        per_host_budget/round. Returns kept count."""
+        per_host_budget/round. Returns the rebuilt (meta, table) part,
+        like take (num_returns=2)."""
         import bisect
 
         if self._sel is None:
-            return 0
+            return self._part(n_buckets)
         cut = bisect.bisect_right(self._sel_keys, tuple(t_key))
         urls, depths, hosts = self._sel
         for url, depth, host in zip(urls[cut:], depths[cut:], hosts[cut:]):
@@ -733,18 +745,23 @@ class FrontierShard:
                 )
         self._sel = (urls[:cut], depths[:cut], hosts[:cut])
         self._sel_keys = self._sel_keys[:cut]
-        return cut
+        return self._part(n_buckets)
 
-    def selection_part(self, n_buckets: int | None = None):
-        """(meta, table) for the data plane — called with num_returns=2
-        so the driver keeps the TABLE as an unmaterialized ObjectRef
-        (driver-owned, plasma-resident, spillable) and ray.gets only the
-        small meta dict. With n_buckets the rows are grouped by the
-        corpus url-hash bucket and meta carries bucket -> (offset, len)
-        ranges, so a fused round task zero-copy-slices exactly the
-        buckets its corpus blocks can contain."""
+    def _part(self, n_buckets: int | None) -> tuple[dict, pa.Table]:
+        """The held selection as (meta, table) for the data plane. The
+        meta carries the count, this shard's ``counts()`` (the round's
+        start counts the driver reconciles deliveries against) and,
+        with n_buckets, bucket -> (offset, len) ranges: the rows are
+        grouped by the corpus url-hash bucket, so a fused round task
+        zero-copy-slices exactly the buckets its corpus blocks can
+        contain."""
         urls, depths, _hosts = self._sel if self._sel is not None else ([], [], [])
-        meta = {"count": len(urls), "buckets": None, "ranges": None}
+        meta = {
+            "count": len(urls),
+            "buckets": None,
+            "ranges": None,
+            "counts": self.counts(),
+        }
         if n_buckets is not None:
             from ..sources.pages import url_bucket
 
@@ -817,9 +834,11 @@ class FrontierShard:
         errored (the reference's 404 path) and emit THIS shard's slice
         of the crawl order — the selection minus the failed rows.
         Called with num_returns=2: the driver ray.gets only the small
-        stats dict; the order part is a ref or a parquet file (see
-        _order_part). Replaces the driver-side ``order_parts.append``
-        accumulation (VERDICT r2 'What's wrong' #2).
+        stats dict, which carries this shard's end-of-round
+        ``counts()`` (the round's pending lag); the order part is a ref
+        or a parquet file (see _order_part). Replaces the driver-side
+        ``order_parts.append`` accumulation (VERDICT r2 'What's wrong'
+        #2).
 
         With ``cfg.max_retries > 0`` a failed fetch is TRANSIENT until
         its failure count exceeds the cap: failure #f re-schedules the
@@ -859,6 +878,7 @@ class FrontierShard:
             "errored": len(errored),
             "ok": len(urls),
             "retried": len(failed) - len(errored),
+            "counts": self.counts(),
         }
         name = f"shard-{self.shard_id:04d}.parquet"
         return stats, self._order_part(round_no, urls, depths, order_dir, name)
@@ -894,7 +914,11 @@ class FrontierShard:
         )
         self._sel = None
         self._sel_keys = None
-        stats = {"fetched": len(fetched), "deferred": len(unfetched)}
+        stats = {
+            "fetched": len(fetched),
+            "deferred": len(unfetched),
+            "counts": self.counts(),
+        }
         name = f"shard-{self.shard_id:04d}.a{attempt:02d}.parquet"
         return stats, self._order_part(
             round_no,

@@ -47,7 +47,7 @@ def test_empty_resume_sel_means_retake_nothing(ray_session):
             pa.array(["h", "h"]),
         )
     )
-    assert ray.get(s.take.remote(0))["count"] == 2
+    assert ray.get(s.take.remote(0))[0]["count"] == 2
     # every selected URL's fetch delivery landed before the kill
     ray.get(s.record_fetched.remote(pa.array(["http://h/a", "http://h/b"])))
     # ... and those fetches admitted next-depth candidates into pending
@@ -57,7 +57,10 @@ def test_empty_resume_sel_means_retake_nothing(ray_session):
     stats, _part = ray.get(
         s.salvage_round_part.options(num_returns=2).remote(7, None, 0)
     )
+    counts = stats.pop("counts")  # the shard's counts ride the stats
     assert stats == {"fetched": 2, "deferred": 0}
+    assert counts == ray.get(s.counts.remote())
+    assert counts["pending"] == 1 and counts["in_flight"] == 0
     d = ray.get(s.dump.remote())
     assert "resume_sel" in d and d["resume_sel"].num_rows == 0
     # reload into a fresh shard exactly as partial-round resume does
@@ -71,9 +74,9 @@ def test_empty_resume_sel_means_retake_nothing(ray_session):
         )
     )
     # the resumed round N re-takes NOTHING from this shard
-    assert ray.get(s2.take.remote(0))["count"] == 0
+    assert ray.get(s2.take.remote(0))[0]["count"] == 0
     # the round AFTER that proceeds normally over pending
-    assert ray.get(s2.take.remote(0))["count"] == 1
+    assert ray.get(s2.take.remote(0))[0]["count"] == 1
 
 
 def test_absent_resume_sel_means_normal_take(ray_session):
@@ -92,7 +95,7 @@ def test_absent_resume_sel_means_normal_take(ray_session):
             {k: d[k] for k in ("seen", "pending", "errored", "host_tokens")}
         )
     )
-    assert ray.get(s2.take.remote(0))["count"] == 1
+    assert ray.get(s2.take.remote(0))[0]["count"] == 1
 
 
 def test_await_round_reraises_task_crash(ray_session):

@@ -42,8 +42,7 @@ def test_shard_orders_by_live_citations(ray_session):
     # backlink_desc must select z first despite a's smaller url
     _enqueue(s, ["http://h/z"], [0], ["h"])
     _enqueue(s, ["http://h/z", "http://h/a"], [0, 0], ["h", "h"])
-    ray.get(s.take.remote(0))
-    _meta, t = ray.get(s.selection_part.remote())
+    _meta, t = ray.get(s.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 
@@ -69,8 +68,7 @@ def test_backlinks_survive_dump_load(ray_session):
             }
         )
     )
-    ray.get(s2.take.remote(0))
-    _meta, t = ray.get(s2.selection_part.remote())
+    _meta, t = ray.get(s2.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

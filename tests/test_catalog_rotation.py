@@ -42,5 +42,5 @@ def test_first_50_are_never_gated_and_oracle_heavy():
         "ivfpq_topk",
     ]
     # catalog integrity: every query unique, oracle keys subset
-    assert len(qs) == len(set(qs)) == 197
+    assert len(qs) == len(set(qs)) == 194
     assert osql <= set(qs)

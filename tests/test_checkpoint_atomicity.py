@@ -151,15 +151,15 @@ def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     enqueue(full, [a1, a2, a3, b1, c1, "http://a.ca/trap"])  # trap -> errored
     # round 0: a.ca capped at 2 (a3 stays pending); b.ca and c.ca bank
     # a token each; a2 and b1 fail -> retry #1, due at round 2
-    assert ray.get(full.take.remote(0))["count"] == 4
+    assert ray.get(full.take.remote(0))[0]["count"] == 4
     fetched(full, [a1, c1])
     ray.get(full.finish_round.options(num_returns=2).remote(0))
     # round 1: a3 fails -> retry #1, due at round 3
-    assert ray.get(full.take.remote(1))["count"] == 1
+    assert ray.get(full.take.remote(1))[0]["count"] == 1
     ray.get(full.finish_round.options(num_returns=2).remote(1))
     # round 2: a2 and b1 back in flight (a3 still waiting); b1 lands,
     # then a salvage stashes a2 as the round's unfetched remainder
-    assert ray.get(full.take.remote(2))["count"] == 2
+    assert ray.get(full.take.remote(2))[0]["count"] == 2
     fetched(full, [b1])
     ray.get(full.salvage_round_part.options(num_returns=2).remote(2))
     enqueue(full, ["http://d.ca/1"])  # pending

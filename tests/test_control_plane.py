@@ -124,15 +124,16 @@ def test_token_bucket_refund_on_truncate(ray_session):
         )
     )
     # token_bucket refill=4 -> takes 4 of 6
-    summary = _ray.get(shard.take.remote(0))
+    summary, _t = _ray.get(shard.take.remote(0))
     assert summary["count"] == 4
     # global cap slices to 2: threshold = 2nd key
     keys = _ray.get(shard.sel_sample.remote(None, None, 4096))
-    kept = _ray.get(shard.truncate_selection.remote(keys[1]))
-    assert kept == 2
+    kept, tbl = _ray.get(shard.truncate_selection.remote(keys[1]))
+    assert kept["count"] == tbl.num_rows == 2
     # bucket: cap was min(burst=8, 0+4)=4, spent 4 -> banked 0; refund 2
     counts = _ray.get(shard.counts.remote())
     assert counts["pending"] == 4  # 2 never taken + 2 refunded
+    assert kept["counts"] == counts  # the part carries post-truncate counts
     dump = _ray.get(shard.dump.remote())
     ht = dict(
         zip(

@@ -418,11 +418,13 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
     assert st1["retried"] == 1 and st1["errored"] == 0
     # round 3: due again, selected (back in flight), then SALVAGED
     # mid-round before any fetch landed
-    assert _ray.get(s1.take.remote(3))["count"] == 1
+    assert _ray.get(s1.take.remote(3))[0]["count"] == 1
     stats, _part = _ray.get(
         s1.salvage_round_part.options(num_returns=2).remote(3, None, 1)
     )
+    counts = stats.pop("counts")  # the shard's counts ride the stats
     assert stats == {"fetched": 0, "deferred": 1}
+    assert counts["in_flight"] == 1  # the deferred URL stays known
     d = _ray.get(s1.dump.remote())
     rt = d["retries"].to_pydict()
     assert rt["url"] == ["http://a.ca/x"]
@@ -432,7 +434,7 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
     s2 = FrontierShard.options(num_cpus=0).remote(0, cfg)
     _ray.get(s2.load.remote(d))
     # resumed round 3 re-takes exactly the stash
-    assert _ray.get(s2.take.remote(3))["count"] == 1
+    assert _ray.get(s2.take.remote(3))[0]["count"] == 1
     # it fails AGAIN: failure #2 (escalated from the restored count),
     # so the backoff is 2**2 = 4 rounds -> due at round 7, not 5
     st2 = _ray.get(s2.finish_round.options(num_returns=2).remote(3, None))[0]
@@ -441,7 +443,7 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
     rt2 = d2["retries"].to_pydict()
     assert rt2["state"] == ["waiting"]
     assert rt2["fails"] == [2] and rt2["avail"] == [7]
-    assert _ray.get(s2.take.remote(5))["count"] == 0
-    assert _ray.get(s2.take.remote(7))["count"] == 1
+    assert _ray.get(s2.take.remote(5))[0]["count"] == 0
+    assert _ray.get(s2.take.remote(7))[0]["count"] == 1
     _ray.kill(s1)
     _ray.kill(s2)

@@ -97,7 +97,6 @@ def test_expire_enables_recrawl(ray_session):
     assert _ray.get(shard.enqueue.remote(urls, pa.array([1] * 20), hosts)) == len(
         expired
     )
-    _ray.get(shard.take.remote(0))
-    _meta, sel = _ray.get(shard.selection_part.remote())
+    _meta, sel = _ray.get(shard.take.remote(0))
     assert sorted(sel["url"].to_pylist()) == sorted(expired)
     _ray.kill(shard)

@@ -1,4 +1,4 @@
-"""Dedup-family + ANN + textstats + multimodal stage tests."""
+"""Dedup-family + ANN + textstats stage tests."""
 
 import numpy as np
 import pyarrow as pa
@@ -13,11 +13,6 @@ from louis_crawler_legacy_ray.stages.dedup import (
     shingle_set,
     simhash64,
     simhash_near_pairs,
-)
-from louis_crawler_legacy_ray.stages.multimodal import (
-    FrameSampleStage,
-    ImageDecodeStage,
-    media_from_documents,
 )
 from louis_crawler_legacy_ray.stages.textstats import (
     lang_id_batch,
@@ -145,34 +140,6 @@ def test_shingle_set():
     s = shingle_set("a b c d", 3)
     assert s == {"a b c", "b c d"}
     assert shingle_set("a b", 3) == set()
-
-
-def test_multimodal_plumbing(ray_session):
-    docs = ray.data.from_arrow(_docs())
-    media = docs.map_batches(media_from_documents, batch_format="pyarrow")
-    feats = media.map_batches(
-        ImageDecodeStage,
-        fn_constructor_kwargs={"real": False},
-        batch_format="pyarrow",
-        batch_size=2,
-        concurrency=1,
-    ).to_pandas()
-    assert len(feats) == 4
-    assert len(feats.iloc[0]["features"]) == 16
-    # deterministic: same payload -> same features
-    assert list(feats.iloc[0]["features"]) == list(feats.iloc[1]["features"])
-    assert feats["check_ok"].all()  # stub-contract self-check column
-
-    frames = media.map_batches(
-        FrameSampleStage, batch_format="pyarrow", concurrency=1
-    ).to_pandas()
-    assert (frames["frame_index"] % 10 == 0).all()
-    assert frames["check_ok"].all()
-
-    import pytest
-
-    with pytest.raises(NotImplementedError):
-        ImageDecodeStage(real=True)(media_from_documents(_docs()))
 
 
 def test_attach_pair_docs_modes_agree(ray_session):

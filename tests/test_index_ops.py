@@ -183,33 +183,6 @@ def test_sharded_postings_merge_to_unsharded(ray_session):
             )
 
 
-def test_image_resize_geometry(ray_session):
-    """Resize stage: aspect-preserving fit into the box, no upscaling,
-    actor-pool plumbing over decoded rows."""
-    import ray.data
-
-    from louis_crawler_legacy_ray.stages.multimodal import ImageResizeStage
-
-    rows = [
-        {"media_id": 1, "width": 448, "height": 224},
-        {"media_id": 2, "width": 100, "height": 50},   # smaller: untouched
-        {"media_id": 3, "width": 224, "height": 896},
-    ]
-    out = (
-        ray.data.from_items(rows)
-        .map_batches(ImageResizeStage, concurrency=1, batch_format="pyarrow")
-        .to_pandas()
-        .set_index("media_id")
-    )
-    assert (out.loc[1, "out_width"], out.loc[1, "out_height"]) == (224, 112)
-    assert (out.loc[2, "out_width"], out.loc[2, "out_height"]) == (100, 50)
-    assert (out.loc[3, "out_width"], out.loc[3, "out_height"]) == (56, 224)
-    import pytest
-
-    with pytest.raises(Exception):
-        ImageResizeStage(real=True)(None)
-
-
 def test_bm25_topk_known_answer(ray_session):
     import math
 

@@ -26,8 +26,7 @@ def _mk(urls, **kw):
 
 
 def _take(s, round_no=0):
-    ray.get(s.take.remote(round_no))
-    return ray.get(s.selection_part.remote())[1]
+    return ray.get(s.take.remote(round_no))[1]
 
 
 URLS = [

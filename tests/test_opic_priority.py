@@ -72,8 +72,7 @@ def test_shard_accumulates_shares_and_orders_by_cash(ray_session):
     _enqueue(s, ["http://h/z", "http://h/a"], [1, 1], ["h", "h"], [300, 400])
     _enqueue(s, ["http://h/a"], [1], ["h"], [200])
     # z: 600, a: 600 -> tie broken by (depth, url): a first
-    ray.get(s.take.remote(0))
-    _meta, t = ray.get(s.selection_part.remote())
+    _meta, t = ray.get(s.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/a", "http://h/z"]
     assert t["cash"].to_pylist() == [600, 600]  # frozen values ride along
 
@@ -93,8 +92,7 @@ def test_cash_survives_dump_load(ray_session):
             {k: d[k] for k in ("seen", "pending", "errored", "host_tokens", "cash")}
         )
     )
-    ray.get(s2.take.remote(0))
-    _meta, t = ray.get(s2.selection_part.remote())
+    _meta, t = ray.get(s2.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

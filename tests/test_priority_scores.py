@@ -62,8 +62,7 @@ def test_frontier_slices_scores_by_owner_shard(ray_session):
                 )
             )
         for i, shard in enumerate(f.shards):
-            ray.get(shard.take.remote(0))
-            _meta, t = ray.get(shard.selection_part.remote())
+            _meta, t = ray.get(shard.take.remote(0))
             got = t["url"].to_pylist()
             expect = sorted(
                 (u for u in urls if u in slices[i]),

@@ -80,8 +80,7 @@ def test_shard_max_combines_and_orders_by_score(ray_session):
             pa.array([5, 4]),
         )
     )
-    ray.get(s.take.remote(0))
-    _meta, t = ray.get(s.selection_part.remote())
+    _meta, t = ray.get(s.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
     # max-combine selections carry NO cash column: scores are computed
     # fresh from content, and a riding column would wrongly engage the
@@ -106,8 +105,7 @@ def test_scores_survive_dump_load(ray_session):
             {k: d[k] for k in ("seen", "pending", "errored", "host_tokens", "cash")}
         )
     )
-    ray.get(s2.take.remote(0))
-    _meta, t = ray.get(s2.selection_part.remote())
+    _meta, t = ray.get(s2.take.remote(0))
     assert t["url"].to_pylist() == ["http://h/z", "http://h/a"]
 
 

@@ -1,0 +1,165 @@
+"""The round boundary: ``take`` and ``finish_round`` hand the driver the
+selection and the shard counts in the call that made them, so a round
+costs one wave per step (take, the reconciliation poll, finish_round,
+dump). Pins the wave count, the ``round_limit`` truncation over a
+bucketed corpus (where ``truncate_selection`` rebuilds the part), and a
+page html.parser rejects taking the failed-fetch path."""
+
+import sys
+
+import pyarrow as pa
+import pytest
+
+from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig, run_crawl
+from louis_crawler_legacy_ray.sources.pages import (
+    PAGES_SCHEMA,
+    pages_from_documents,
+    synth_documents,
+    write_pages_parquet,
+)
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    """The same 60 pages over 4 hosts (so several shards own some),
+    flat and bucketed by URL hash."""
+    pages = pages_from_documents(synth_documents(60, seed=5), n_hosts=4)
+    flat = str(tmp_path_factory.mktemp("flat_pages"))
+    bucketed = str(tmp_path_factory.mktemp("bucketed_pages"))
+    write_pages_parquet(pages, flat, rows_per_file=20)
+    write_pages_parquet(pages, bucketed, rows_per_file=20, bucket_by_url=True)
+    return flat, bucketed, pages["url"][0].as_py()
+
+
+def _order(res) -> list[tuple]:
+    o = res.order
+    return list(
+        zip(o["round"].to_pylist(), o["depth"].to_pylist(), o["url"].to_pylist())
+    )
+
+
+@pytest.mark.parametrize("n_shards", [2, 3])
+def test_round_limit_bucketed_matches_flat(ray_session, corpora, n_shards):
+    """round_limit binds in most rounds (each shard's take caps itself at
+    the limit, so the global truncation needs >1 shard); the truncated
+    selection's bucket
+    ranges must still slice the right rows, so a bucketed corpus crawls
+    in exactly the flat corpus's order and reaches the same seen set."""
+    flat, bucketed, seed = corpora
+    cfg = CrawlConfig(n_shards=n_shards, max_depth=4, round_limit=5, max_rounds=60)
+    a = run_crawl(flat, [seed], cfg)
+    b = run_crawl(bucketed, [seed], cfg)
+    # the global cap was applied by truncation (driver-side threshold
+    # keys) in several rounds, and every such round kept exactly 5
+    cut = [m for m in a.metrics if m["driver_rows"] > 0]
+    assert len(cut) >= 2
+    assert all(m["selected"] == 5 for m in cut)
+    assert _order(a) == _order(b)
+    assert a.counts["seen"] == b.counts["seen"] == len(_order(a))
+    assert a.counts["errored"] == b.counts["errored"] == 0
+    # against the uncapped crawl: the cap defers, never drops
+    free = run_crawl(flat, [seed], CrawlConfig(n_shards=n_shards, max_depth=4))
+    assert {u for _, _, u in _order(free)} == {u for _, _, u in _order(a)}
+    assert a.rounds > free.rounds
+
+
+def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
+    """Driver-side shard calls per round and shard: take 1, finish_round
+    1, dump 1 (checkpointing), no selection_part; ``counts`` only from
+    the reconciliation poll and once at the end for CrawlResult.counts."""
+    import ray.actor
+
+    flat, _bucketed, seed = corpora
+    calls: list[tuple[str, str]] = []
+    remote0 = ray.actor.ActorMethod._remote
+
+    def counting_remote(self, *a, **kw):
+        # attribute the call to the nearest named crawl / checkpoint
+        # function (comprehension frames are skipped)
+        f = sys._getframe(1)
+        while f is not None and (
+            not f.f_code.co_filename.endswith(
+                ("pipelines/crawl.py", "state/checkpoint.py")
+            )
+            or f.f_code.co_name.startswith("<")
+        ):
+            f = f.f_back
+        calls.append((self._method_name, f.f_code.co_name if f else ""))
+        return remote0(self, *a, **kw)
+
+    n = 3
+    cfg = CrawlConfig(n_shards=n, max_depth=3, checkpoint_dir=str(tmp_path / "ck"))
+    monkeypatch.setattr(ray.actor.ActorMethod, "_remote", counting_remote)
+    res = run_crawl(flat, [seed], cfg)
+    monkeypatch.undo()
+
+    rounds = res.rounds
+    assert rounds >= 3
+
+    def n_calls(name, caller=None):
+        return sum(
+            1 for m, c in calls if m == name and (caller is None or c == caller)
+        )
+
+    # the crawl ends on an empty take, one wave past the last round
+    assert n_calls("take") == n * (rounds + 1)
+    assert n_calls("finish_round") == n * rounds
+    assert n_calls("dump") == n * rounds
+    assert n_calls("selection_part") == 0
+    assert n_calls("truncate_selection") == n_calls("sel_sample") == 0
+    # counts: the reconciliation poll (at least one wave a round) plus
+    # the one final Frontier.counts() — no base or post-finish waves
+    assert {c for m, c in calls if m == "counts"} == {"_await_round", "counts"}
+    assert n_calls("counts", "counts") == n
+    assert n_calls("counts", "_await_round") >= n * rounds
+    assert n_calls("counts", "_await_round") % n == 0
+    # pending_lag and retry checks read the counts the calls returned
+    assert res.metrics[-1]["pending_lag"] == res.counts["pending"] == 0
+
+
+def test_marked_section_page_is_a_failed_fetch(ray_session, tmp_path):
+    """A page html.parser rejects ('<![v>' marked section) fails like a
+    fetch: errored, no item row, no candidates; the rest of its round
+    crawls as usual."""
+    from louis_crawler_legacy_ray.pipelines.crawl import items_dataset
+
+    def page(body: str) -> str:
+        return f"<html><body><main><h1>t</h1>{body}</main></body></html>"
+
+    htmls = {
+        "http://a.ca/0": page('<a href="/1">1</a><a href="/2">2</a>'),
+        # html.parser raises on the marked section; /3 is linked only here
+        "http://a.ca/1": page('x<![v><p>y</p><a href="/3">3</a>'),
+        "http://a.ca/2": page('<p>two</p><a href="/4">4</a>'),
+        "http://a.ca/3": page("<p>three</p>"),
+        "http://a.ca/4": page("<p>four</p>"),
+    }
+    n = len(htmls)
+    pages = pa.table(
+        {
+            "url": pa.array(list(htmls), pa.string()),
+            "warc_ts": pa.array([0] * n, pa.timestamp("us")),
+            "html": pa.array([h.encode() for h in htmls.values()], pa.binary()),
+            "text": pa.array([""] * n, pa.string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+        },
+        schema=PAGES_SCHEMA,
+    )
+    d = str(tmp_path / "pages")
+    write_pages_parquet(pages, d)
+    out = str(tmp_path / "out")
+    res = run_crawl(d, ["http://a.ca/0"], CrawlConfig(n_shards=2, max_depth=3), out)
+    assert _order(res) == [
+        (0, 0, "http://a.ca/0"),
+        (1, 1, "http://a.ca/2"),
+        (2, 2, "http://a.ca/4"),
+    ]
+    assert res.counts["errored"] == 1
+    assert res.counts["seen"] == 3
+    assert res.counts["pending"] == 0
+    items = items_dataset(out).to_pandas()
+    assert sorted(items["url"]) == [
+        "http://a.ca/0",
+        "http://a.ca/2",
+        "http://a.ca/4",
+    ]

@@ -122,17 +122,12 @@ def _merge_bucket(args):
 def build_bench_corpus(n_pages: int, pad: int) -> str:
     """Deterministic bench corpus, cached under /tmp; built in parallel
     (multiprocessing) slices, bucket-partitioned by url hash."""
-    out = f"/tmp/louis_bench_pages_n{n_pages}_p{pad}"
-    done = os.path.join(out, "_DONE")
-    if not os.path.exists(done):
+    from louis_crawler_legacy_ray.sources.pages import build_once
+
+    def build(tmp: str) -> None:
         import json as _json
         import multiprocessing as mp
-        import shutil
 
-        # atomic build (tmp dir + rename): concurrent bench processes
-        # never see a half-written corpus
-        tmp = f"{out}.build-{os.getpid()}"
-        os.makedirs(tmp, exist_ok=True)
         n_slices = 16
         n_buckets = max(1, n_pages // 2048)
         _synth_docs_cached(n_pages)  # serial rng, built once, before the pool
@@ -150,13 +145,8 @@ def build_bench_corpus(n_pages: int, pad: int) -> str:
             pool.map(_merge_bucket, [(tmp, b) for b in range(n_buckets)])
         with open(os.path.join(tmp, "_BUCKETS.json"), "w") as f:
             _json.dump({"n_buckets": n_buckets}, f)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-    return out
+
+    return build_once(f"/tmp/louis_bench_pages_n{n_pages}_p{pad}", build)
 
 
 def run_bench() -> dict:
@@ -227,7 +217,7 @@ def run_bench() -> dict:
     from louis_crawler_legacy_ray.pipelines.crawl import prime_pages_cache
 
     prime_pages_cache(corpus)  # fetch-simulator data load, untimed
-    cfg = CrawlConfig(n_shards=8, max_depth=20, max_rounds=24, extract_batch_size=512)
+    cfg = CrawlConfig(n_shards=8, max_depth=20, max_rounds=24)
     run_crawl(corpus, [seed], cfg, out_dir=None)  # warm pass (worker/actor churn settles)
     # single-node wall time is noisy (+/-30-40% observed on this VM);
     # record every timed steady-state run (min is the headline; the

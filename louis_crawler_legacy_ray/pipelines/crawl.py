@@ -124,7 +124,8 @@ class CrawlConfig:
     allowed_domains: list[str] | None = None
     mode: str = "exact"                     # seen-filter mode: exact | approx | cuckoo
     checkpoint_dir: str | None = None
-    extract_batch_size: int = 256
+    extract_batch_size: int = 256           # unread; kept only because
+                                            # perfbench/workloads.py passes it
     hot_host_salt: dict = field(default_factory=dict)  # host -> n_salts
     robots_txt_by_host: dict | None = None  # host -> robots.txt body
     obey_robots: bool = False               # reference default: settings.py:19
@@ -1659,74 +1660,53 @@ def run_frontier(
                 if order_dir is None:
                     order_refs.extend(salv_parts)
                 n_deferred = sum(x["deferred"] for x in salv)
-                if n_deferred == 0:
-                    # the stop landed after every task's deliveries
-                    # arrived: the round actually COMPLETED (nothing to
-                    # re-take, nothing in_flight to quarantine). Commit
-                    # it as a normal round — a .partial here would make
-                    # resume re-run round N over an all-empty stash and
-                    # terminate the crawl at sel.total==0 (ADVICE r3)
-                    ray.get(
-                        [s.clear_resume_sel.remote() for s in frontier.shards]
-                    )
+                if n_deferred:
                     row = {
                         "round": round_no,
                         "selected": sel.total,
-                        "fetched": stats["fetched"],
-                        "errored": 0,
-                        "new_candidates": stats["admitted"],
-                        "pending_lag": sum(x["counts"]["pending"] for x in salv),
-                        "seconds": time.perf_counter() - t0,
+                        "fetched": sum(x["fetched"] for x in salv),
+                        "deferred": n_deferred,
+                        "partial_attempt": attempt,
                         "driver_rows": sel.driver_rows,
                     }
                     metrics.append(row)
                     if cfg.checkpoint_dir:
                         write_checkpoint(
-                            cfg.checkpoint_dir, round_no, frontier.shards, chash, row
+                            cfg.checkpoint_dir,
+                            round_no,
+                            frontier.shards,
+                            chash,
+                            row,
+                            partial_attempt=attempt,
                         )
-                        append_metrics(cfg.checkpoint_dir, [row])
-                        if attempt:
-                            clear_partial(cfg.checkpoint_dir, round_no)
                     break
-                row = {
-                    "round": round_no,
-                    "selected": sel.total,
-                    "fetched": sum(x["fetched"] for x in salv),
-                    "deferred": n_deferred,
-                    "partial_attempt": attempt,
-                    "driver_rows": sel.driver_rows,
-                }
-                metrics.append(row)
-                if cfg.checkpoint_dir:
-                    write_checkpoint(
-                        cfg.checkpoint_dir,
-                        round_no,
-                        frontier.shards,
-                        chash,
-                        row,
-                        partial_attempt=attempt,
+                # the stop landed after every task's deliveries arrived:
+                # the round actually COMPLETED (nothing to re-take,
+                # nothing in_flight to quarantine). Commit it as a normal
+                # round — a .partial here would make resume re-run round
+                # N over an all-empty stash and terminate the crawl at
+                # sel.total==0 (ADVICE r3)
+                ray.get([s.clear_resume_sel.remote() for s in frontier.shards])
+                fin = salv
+            else:
+                # end of round, shard-side: quarantine + per-shard order part
+                fin_refs, part_refs = [], []
+                for s in frontier.shards:
+                    a, b = s.finish_round.options(num_returns=2).remote(
+                        round_no, order_dir
                     )
-                break
-            # end of round, shard-side: quarantine + per-shard order part
-            fin_refs, part_refs = [], []
-            for s in frontier.shards:
-                a, b = s.finish_round.options(num_returns=2).remote(
-                    round_no, order_dir
-                )
-                fin_refs.append(a)
-                part_refs.append(b)
-            fin = ray.get(fin_refs)
-            n_errored = sum(f["errored"] for f in fin)
-            n_retried = sum(f.get("retried", 0) for f in fin)
-            if order_dir is None:
-                order_refs.extend(part_refs)
+                    fin_refs.append(a)
+                    part_refs.append(b)
+                fin = ray.get(fin_refs)
+                if order_dir is None:
+                    order_refs.extend(part_refs)
             dt = time.perf_counter() - t0
             row = {
                 "round": round_no,
                 "selected": sel.total,
                 "fetched": stats["fetched"],
-                "errored": n_errored,
-                "retried": n_retried,
+                "errored": sum(f.get("errored", 0) for f in fin),
+                "retried": sum(f.get("retried", 0) for f in fin),
                 "new_candidates": stats["admitted"],
                 "pending_lag": sum(f["counts"]["pending"] for f in fin),
                 "seconds": dt,
@@ -1749,6 +1729,8 @@ def run_frontier(
                 if attempt:
                     # the salvaged partial for this round is superseded
                     clear_partial(cfg.checkpoint_dir, round_no)
+            if stats.get("interrupted"):
+                break
             round_no += 1
 
         return CrawlResult(

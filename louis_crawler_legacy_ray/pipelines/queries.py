@@ -28,7 +28,14 @@ import ray.data
 
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..sources.pages import SITE, pages_from_documents, write_pages_parquet
+from ..sources.pages import (
+    SITE,
+    build_once,
+    lang_segment,
+    page_url,
+    pages_from_documents,
+    write_pages_parquet,
+)
 from ..stages import dedup as dd
 from ..stages import textstats as ts
 from ..stages.ann import brute_force_topk, lsh_topk
@@ -46,40 +53,65 @@ def _docs_table(sf_dir: str) -> pa.Table:
     return pq.read_table(f"{sf_dir}/documents.parquet")
 
 
-_PAGES_CACHE: dict[str, str] = {}
+def _corpus_path(key: str) -> str:
+    """The /tmp directory a derived corpus is cached under, keyed by
+    its input identity."""
+    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
+    return f"/tmp/louis_pages_{tag}"
+
+
+def _pages_corpus(key: str, make_pages) -> str:
+    """Write the pages table ``make_pages()`` returns once per ``key``
+    (sources.pages.build_once) and return its directory."""
+    return build_once(
+        _corpus_path(key),
+        lambda tmp: write_pages_parquet(make_pages(), tmp, rows_per_file=4096),
+    )
 
 
 def pages_corpus_dir(sf_dir: str, pad_bytes: int = 0) -> str:
     """Build (once per sf_dir) the synthetic pages corpus derived from
     the documents table; cached under /tmp keyed by input identity."""
-    key = f"{sf_dir}|{pad_bytes}"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        # atomic build (tmp dir + rename) so concurrent driver processes
-        # never observe a half-written corpus
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, pad_bytes=pad_bytes)
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            # another process won the race; use its corpus
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(
+        f"{sf_dir}|{pad_bytes}",
+        lambda: pages_from_documents(_docs_table(sf_dir), pad_bytes=pad_bytes),
+    )
 
 
 def _doc_id_from_url(url: str) -> int:
     m = re.search(r"doc(\d+)$", url)
     return int(m.group(1)) if m else -1
+
+
+def _rewrite_html(pages: pa.Table, rewrite) -> pa.Table:
+    """``pages`` with each page's html replaced by ``rewrite(doc_id,
+    html)``; a ``None`` return keeps the page's bytes as they are."""
+    htmls = pages["html"].to_pylist()
+    for i, u in enumerate(pages["url"].to_pylist()):
+        new = rewrite(_doc_id_from_url(u), htmls[i].decode())
+        if new is not None:
+            htmls[i] = new.encode()
+    return pages.set_column(
+        pages.schema.get_field_index("html"), "html", pa.array(htmls, pa.binary())
+    )
+
+
+def _host_rows(b: pa.Table) -> pa.Table:
+    """(host, url, doc_id) per corpus url: the grouping input of the
+    per-host sitemap / feed / robots documents."""
+    urls = b["url"].to_pylist()
+    return pa.table(
+        {
+            "host": pa.array(
+                [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
+                pa.string(),
+            ),
+            "url": b["url"],
+            "doc_id": pa.array(
+                [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
+            ),
+        }
+    )
 
 
 def _cents(arr) -> pa.Array:
@@ -860,7 +892,7 @@ def q_url_canonicalize(sf_dir: str):
         srcs = b["source"].to_pylist()
         urls = []
         for i, lang, src in zip(ids, langs, srcs):
-            seg = "fra" if lang == "fr" else lang
+            seg = lang_segment(lang)
             base = (
                 "https://inspection.gc.ca"
                 if i % 3 == 0
@@ -1067,10 +1099,7 @@ def q_crawl_pages_bfs(sf_dir: str):
     recursive BFS min-depth over the constructed link graph."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16)
     res = run_crawl(pages_corpus_dir(sf_dir), [seed], cfg)
     return res.order.select(["url", "depth"])
@@ -1102,10 +1131,7 @@ def q_crawl_metrics(sf_dir: str):
     the engine's METRICS from the recursive walk and hash-checks them."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16)
     res = run_crawl(pages_corpus_dir(sf_dir), [seed], cfg)
     return pa.table(
@@ -1158,11 +1184,8 @@ def q_crawl_pages_bfs_404(sf_dir: str):
     the pages that exist."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
-    bogus = f"{SITE}/{seg0}/{src0}/does-not-exist-404"
+    seed = _site_seed(sf_dir)
+    bogus = seed.rsplit("/", 1)[0] + "/does-not-exist-404"
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16)
     res = run_crawl(pages_corpus_dir(sf_dir), [seed, bogus], cfg)
     assert res.counts["errored"] >= 1, "missing seed must be quarantined"
@@ -1185,10 +1208,7 @@ def q_crawl_pages_bfs_budget(sf_dir: str):
     burst-up, carry-down and the steady-state tail."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(
         n_shards=4,
         max_depth=6,
@@ -1268,10 +1288,7 @@ def q_crawl_ttl_recrawl(sf_dir: str):
     hash-match."""
     from .crawl import CrawlConfig, Frontier, pages_expand, run_frontier
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16, mode="cuckoo")
     frontier = Frontier(cfg)
     try:
@@ -1375,10 +1392,7 @@ def q_sitemap_recrawl(sf_dir: str):
         if r["kind"] == "url" and r["changefreq"] in ("hourly", "daily")
     }
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16, mode="cuckoo")
     frontier = Frontier(cfg)
     try:
@@ -1441,26 +1455,10 @@ def multihost_corpus_dir(sf_dir: str) -> str:
     absolute cross-host links): the frontier shape where host-sharded
     state, per-host politeness and shard routing actually distribute —
     the single-site corpus exercises none of that spread."""
-    key = f"{sf_dir}|mh{_MH_HOSTS}"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, n_hosts=_MH_HOSTS)
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(
+        f"{sf_dir}|mh{_MH_HOSTS}",
+        lambda: pages_from_documents(_docs_table(sf_dir), n_hosts=_MH_HOSTS),
+    )
 
 
 def multihost3_corpus_dir(sf_dir: str) -> str:
@@ -1470,26 +1468,12 @@ def multihost3_corpus_dir(sf_dir: str) -> str:
     power of two determined by its depth, so cash order degenerates to
     citation-count order and the gate couldn't tell OPIC from
     backlink_desc; C//3 splits break that symmetry."""
-    key = f"{sf_dir}|mh{_MH_HOSTS}k3"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, n_hosts=_MH_HOSTS, n_children=3)
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
-
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(
+        f"{sf_dir}|mh{_MH_HOSTS}k3",
+        lambda: pages_from_documents(
+            _docs_table(sf_dir), n_hosts=_MH_HOSTS, n_children=3
+        ),
+    )
 
 
 # the multi-host pg CTE: same page derivation, host keyed by doc_id % 7
@@ -1534,11 +1518,28 @@ pg AS (
 """
 
 
-def _mh_seed(sf_dir: str) -> str:
+def _mh_url(doc_id: int, lang: str, source: str) -> str:
+    """A page url of the multi-host corpus (host h{doc_id % 7})."""
+    return (
+        f"http://h{doc_id % _MH_HOSTS}.example.ca/{lang_segment(lang)}/"
+        f"{source}/doc{doc_id}"
+    )
+
+
+def _doc0(sf_dir: str) -> tuple[str, str]:
+    """(lang, source) of the documents table's first row, doc 0."""
     docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    return f"http://h0.example.ca/{seg0}/{src0}/doc0"
+    return docs["lang"][0].as_py(), docs["source"][0].as_py()
+
+
+def _site_seed(sf_dir: str) -> str:
+    """doc 0's url on the single-site corpus: every single-site crawl's
+    seed."""
+    return page_url(0, *_doc0(sf_dir))
+
+
+def _mh_seed(sf_dir: str) -> str:
+    return _mh_url(0, *_doc0(sf_dir))
 
 
 def q_crawl_multihost_bfs(sf_dir: str):
@@ -2413,15 +2414,9 @@ def domains_corpus_dir(sf_dir: str) -> str:
     over-fetches an origin and Heritrix-style queue-by-registered-
     domain is the fix. Same page/link arithmetic as the multihost
     corpus, hosts string-mapped in urls and html."""
-    key = f"{sf_dir}|domains"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, n_hosts=_MH_HOSTS)
+
+    def make_pages() -> pa.Table:
+        pages = pages_from_documents(_docs_table(sf_dir), n_hosts=_MH_HOSTS)
         mapping = [
             (f"h{k}.example.ca", _DOM_HOSTS[k]) for k in range(_MH_HOSTS)
         ]
@@ -2437,20 +2432,11 @@ def domains_corpus_dir(sf_dir: str) -> str:
         pages = pages.set_column(
             pages.schema.get_field_index("url"), "url", pa.array(urls, pa.string())
         )
-        pages = pages.set_column(
+        return pages.set_column(
             pages.schema.get_field_index("html"), "html", pa.array(htmls, pa.binary())
         )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(f"{sf_dir}|domains", make_pages)
 
 
 def q_crawl_domain_budget(sf_dir: str):
@@ -2904,54 +2890,26 @@ def redirect_corpus_dir(sf_dir: str) -> str:
     its FIRST heap child — the page serves no body and no links, just
     the redirect. Built once per sf_dir and cached like the other
     derived corpora."""
-    key = f"{sf_dir}|mh{_MH_HOSTS}|redir9"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
+
+    def make_pages() -> pa.Table:
         docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, n_hosts=_MH_HOSTS)
         n = docs.num_rows
         langs = docs["lang"].to_pylist()
         sources = docs["source"].to_pylist()
 
-        def url_of(doc: int) -> str:
-            seg = "fra" if langs[doc] == "fr" else langs[doc]
+        def stub(doc: int, html: str) -> str | None:
+            if doc % 9 != 5:
+                return None
+            c = (2 * doc + 1) % n
             return (
-                f"http://h{doc % _MH_HOSTS}.example.ca/{seg}/"
-                f"{sources[doc]}/doc{doc}"
+                '<html><head><meta http-equiv="refresh" '
+                f'content="0;url={_mh_url(c, langs[c], sources[c])}"></head>'
+                "<body>Moved</body></html>"
             )
 
-        rx = re.compile(r"doc(\d+)$")
-        urls = pages["url"].to_pylist()
-        htmls = pages["html"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
-            if doc % 9 == 5:
-                target = url_of((2 * doc + 1) % n)
-                htmls[i] = (
-                    '<html><head><meta http-equiv="refresh" '
-                    f'content="0;url={target}"></head>'
-                    "<body>Moved</body></html>"
-                ).encode()
-        pages = pages.set_column(
-            pages.schema.get_field_index("html"),
-            "html",
-            pa.array(htmls, pa.binary()),
-        )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
+        return _rewrite_html(pages_from_documents(docs, n_hosts=_MH_HOSTS), stub)
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(f"{sf_dir}|mh{_MH_HOSTS}|redir9", make_pages)
 
 
 def meta_robots_corpus_dir(sf_dir: str) -> str:
@@ -2961,46 +2919,24 @@ def meta_robots_corpus_dir(sf_dir: str) -> str:
     obeying crawler ignores them), doc_id % 5 == 2 pages declare
     ``noindex``, pages matching both carry both tokens. Cached like
     the other derived corpora."""
-    key = f"{sf_dir}|mh{_MH_HOSTS}|metarobots"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs, n_hosts=_MH_HOSTS)
-        rx = re.compile(r"doc(\d+)$")
-        urls = pages["url"].to_pylist()
-        htmls = pages["html"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
-            toks = []
-            if doc % 5 == 2:
-                toks.append("noindex")
-            if doc % 9 == 4:
-                toks.append("nofollow")
-            if toks:
-                tag_html = f'<meta name="robots" content="{", ".join(toks)}">'
-                htmls[i] = (
-                    htmls[i].decode().replace("<head>", "<head>" + tag_html, 1)
-                ).encode()
-        pages = pages.set_column(
-            pages.schema.get_field_index("html"),
-            "html",
-            pa.array(htmls, pa.binary()),
-        )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    def add_meta(doc: int, html: str) -> str | None:
+        toks = []
+        if doc % 5 == 2:
+            toks.append("noindex")
+        if doc % 9 == 4:
+            toks.append("nofollow")
+        if not toks:
+            return None
+        tag_html = f'<meta name="robots" content="{", ".join(toks)}">'
+        return html.replace("<head>", "<head>" + tag_html, 1)
+
+    return _pages_corpus(
+        f"{sf_dir}|mh{_MH_HOSTS}|metarobots",
+        lambda: _rewrite_html(
+            pages_from_documents(_docs_table(sf_dir), n_hosts=_MH_HOSTS), add_meta
+        ),
+    )
 
 
 def canonical_corpus_dir(sf_dir: str) -> str:
@@ -3009,50 +2945,22 @@ def canonical_corpus_dir(sf_dir: str) -> str:
     group's base page doc_id - (doc_id %% 6) — the SEO-standard
     duplicate-consolidation hint (print/mobile/tracking variants of
     one canonical page). Cached like the other derived corpora."""
-    key = f"{sf_dir}|canon6"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
+
+    def make_pages() -> pa.Table:
         docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs)
         langs = docs["lang"].to_pylist()
         sources = docs["source"].to_pylist()
 
-        def url_of(doc: int) -> str:
-            seg = "fra" if langs[doc] == "fr" else langs[doc]
-            return f"http://inspection.canada.ca/{seg}/{sources[doc]}/doc{doc}"
+        def add_link(doc: int, html: str) -> str | None:
+            if doc % 6 not in (1, 2):
+                return None
+            b = doc - doc % 6
+            link = f'<link rel="canonical" href="{page_url(b, langs[b], sources[b])}">'
+            return html.replace("<head>", "<head>" + link, 1)
 
-        rx = re.compile(r"doc(\d+)$")
-        urls = pages["url"].to_pylist()
-        htmls = pages["html"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
-            if doc % 6 in (1, 2):
-                link = (
-                    f'<link rel="canonical" href="{url_of(doc - doc % 6)}">'
-                )
-                htmls[i] = (
-                    htmls[i].decode().replace("<head>", "<head>" + link, 1)
-                ).encode()
-        pages = pages.set_column(
-            pages.schema.get_field_index("html"),
-            "html",
-            pa.array(htmls, pa.binary()),
-        )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
+        return _rewrite_html(pages_from_documents(docs), add_link)
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(f"{sf_dir}|canon6", make_pages)
 
 
 def q_canonical_consolidate(sf_dir: str):
@@ -3125,43 +3033,18 @@ def soft404_corpus_dir(sf_dir: str) -> str:
     shape (server misconfigured to return 200 for missing pages) that
     poisons an index unless detected content-side. Cached like the
     other derived corpora."""
-    key = f"{sf_dir}|soft404"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs)
-        rx = re.compile(r"doc(\d+)$")
-        urls = pages["url"].to_pylist()
-        htmls = pages["html"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
-            if doc % _SOFT404_MOD == 0:
-                s = htmls[i].decode()
-                a = s.find("<p>")
-                b = s.find("</p>")
-                htmls[i] = (
-                    s[:a] + "<p>" + _SOFT404_BODY + "</p>" + s[b + 4 :]
-                ).encode()
-        pages = pages.set_column(
-            pages.schema.get_field_index("html"),
-            "html",
-            pa.array(htmls, pa.binary()),
-        )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    def error_body(doc: int, html: str) -> str | None:
+        if doc % _SOFT404_MOD != 0:
+            return None
+        a = html.find("<p>")
+        b = html.find("</p>")
+        return html[:a] + "<p>" + _SOFT404_BODY + "</p>" + html[b + 4 :]
+
+    return _pages_corpus(
+        f"{sf_dir}|soft404",
+        lambda: _rewrite_html(pages_from_documents(_docs_table(sf_dir)), error_body),
+    )
 
 
 def q_soft404(sf_dir: str):
@@ -3250,20 +3133,12 @@ def dust_corpus_dir(sf_dir: str) -> str:
     doc_id % 5 == 3 page at the m.-prefixed host, with byte-identical
     html — the Different-URL-Same-Text shape rule discovery must
     learn. Cached like the other derived corpora."""
-    key = f"{sf_dir}|dust"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        docs = _docs_table(sf_dir)
-        pages = pages_from_documents(docs)
-        rx = re.compile(r"doc(\d+)$")
+
+    def make_pages() -> pa.Table:
+        pages = pages_from_documents(_docs_table(sf_dir))
         extra_idx, extra_url = [], []
-        urls = pages["url"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
+        for i, u in enumerate(pages["url"].to_pylist()):
+            doc = _doc_id_from_url(u)
             if doc % 5 == 2:
                 extra_idx.append(i)
                 extra_url.append(u + "?print=1")
@@ -3281,18 +3156,9 @@ def dust_corpus_dir(sf_dir: str) -> str:
             "url",
             pa.array(extra_url, pa.string()),
         )
-        pages = pa.concat_tables([pages, extra])
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
+        return pa.concat_tables([pages, extra])
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(f"{sf_dir}|dust", make_pages)
 
 
 def q_dust_rules(sf_dir: str):
@@ -3327,56 +3193,26 @@ def hreflang_corpus_dir(sf_dir: str) -> str:
     TARGET's lang segment as hreflang — the rel-alternate-hreflang
     reciprocal-linking shape Google's guidelines prescribe. Cached like
     the other derived corpora."""
-    key = f"{sf_dir}|hreflang4"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
+
+    def make_pages() -> pa.Table:
         docs = _docs_table(sf_dir)
         n = docs.num_rows
-        pages = pages_from_documents(docs)
         langs = docs["lang"].to_pylist()
         sources = docs["source"].to_pylist()
 
-        def seg_of(doc: int) -> str:
-            return "fra" if langs[doc] == "fr" else langs[doc]
-
-        def url_of(doc: int) -> str:
-            return f"http://inspection.canada.ca/{seg_of(doc)}/{sources[doc]}/doc{doc}"
-
-        rx = re.compile(r"doc(\d+)$")
-        urls = pages["url"].to_pylist()
-        htmls = pages["html"].to_pylist()
-        for i, u in enumerate(urls):
-            doc = int(rx.search(u).group(1))
+        def add_links(doc: int, html: str) -> str:
             g0 = doc - doc % 4
             links = "".join(
-                f'<link rel="alternate" hreflang="{seg_of(m)}" '
-                f'href="{url_of(m)}">'
+                f'<link rel="alternate" hreflang="{lang_segment(langs[m])}" '
+                f'href="{page_url(m, langs[m], sources[m])}">'
                 for m in range(g0, min(g0 + 4, n))
                 if m != doc
             )
-            htmls[i] = (
-                htmls[i].decode().replace("<head>", "<head>" + links, 1)
-            ).encode()
-        pages = pages.set_column(
-            pages.schema.get_field_index("html"),
-            "html",
-            pa.array(htmls, pa.binary()),
-        )
-        write_pages_parquet(pages, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
+            return html.replace("<head>", "<head>" + links, 1)
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+        return _rewrite_html(pages_from_documents(docs), add_links)
+
+    return _pages_corpus(f"{sf_dir}|hreflang4", make_pages)
 
 
 def q_hreflang_clusters(sf_dir: str):
@@ -3989,11 +3825,10 @@ def q_crawl_pagerank_priority(sf_dir: str):
     langs = docs["lang"].to_pylist()
     sources = docs["source"].to_pylist()
 
-    def url_of(d: int) -> str:
-        seg = "fra" if langs[d] == "fr" else langs[d]
-        return f"http://h{d % _MH_HOSTS}.example.ca/{seg}/{sources[d]}/doc{d}"
-
-    scores = {url_of(int(r["v"])): int(r["r"]) for r in ranks.iter_rows()}
+    scores = {}
+    for r in ranks.iter_rows():
+        d = int(r["v"])
+        scores[_mh_url(d, langs[d], sources[d])] = int(r["r"])
     cfg = CrawlConfig(
         n_shards=4,
         max_depth=6,
@@ -4084,11 +3919,8 @@ def q_crawl_robots(sf_dir: str):
     is the recursive walk restricted to seg <> 'fra'."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    assert seg0 != "fra", "seed must be allowed for the oracle shape"
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
+    assert "/fra/" not in seed, "seed must be allowed for the oracle shape"
     cfg = CrawlConfig(
         n_shards=4,
         max_depth=6,
@@ -4130,10 +3962,7 @@ def q_crawl_salted(sf_dir: str):
     as crawl_pages_bfs."""
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(
         n_shards=5,
         max_depth=6,
@@ -4283,14 +4112,8 @@ def mirror_corpus_dir(sf_dir: str) -> str:
     aggregator x.example.ca carrying every 31st document across hosts
     — small coincidental overlap with each base host, the negative
     case the threshold must NOT flag."""
-    key = f"{sf_dir}|mirror"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
-        tmp = f"{out}.build-{os.getpid()}"
-        os.makedirs(tmp, exist_ok=True)
+
+    def build(tmp: str) -> None:
         docs = _docs_table(sf_dir)
         urls: list[str] = []
         txts: list[str] = []
@@ -4300,8 +4123,7 @@ def mirror_corpus_dir(sf_dir: str) -> str:
             docs["lang"].to_pylist(),
             docs["source"].to_pylist(),
         ):
-            seg = "fra" if lang == "fr" else lang
-            p = f"/{seg}/{src}/doc{d}"
+            p = f"/{lang_segment(lang)}/{src}/doc{d}"
             urls.append(f"http://h{d % 7}.example.ca{p}")
             txts.append(t)
             if d % 7 in (1, 4):
@@ -4322,16 +4144,8 @@ def mirror_corpus_dir(sf_dir: str) -> str:
             ),
             os.path.join(tmp, "part-00000.parquet"),
         )
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return build_once(_corpus_path(f"{sf_dir}|mirror"), build)
 
 
 def q_mirror_hosts(sf_dir: str):
@@ -6276,10 +6090,7 @@ def q_search_rank_fusion(sf_dir: str):
     from ..stages.joins import partitioned_hash_join
     from .crawl import CrawlConfig, run_crawl
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     corpus = pages_corpus_dir(sf_dir)
     res = run_crawl(
         corpus, [seed], CrawlConfig(n_shards=4, max_depth=5, max_rounds=16)
@@ -7828,12 +7639,8 @@ def _condget_v2_corpus(sf_dir: str) -> str:
     conditional-GET gate: pages with md5_number_lower(url) % 3 == 0
     gain a comment suffix (content changed; links untouched so the
     schedule is identical), everything else is byte-identical."""
-    key = f"{sf_dir}|condget2"
-    if key in _PAGES_CACHE:
-        return _PAGES_CACHE[key]
-    tag = hashlib.blake2b(key.encode(), digest_size=6).hexdigest()
-    out = f"/tmp/louis_pages_{tag}"
-    if not os.path.exists(os.path.join(out, "_DONE")):
+
+    def make_pages() -> pa.Table:
         import pyarrow.dataset as pads
 
         from ..stages.dedup import _md5_u64_lower
@@ -7843,21 +7650,11 @@ def _condget_v2_corpus(sf_dir: str) -> str:
             (h or b"") + b"<!-- v2 -->" if _md5_u64_lower(u) % 3 == 0 else h
             for u, h in zip(t["url"].to_pylist(), t["html"].to_pylist())
         ]
-        t = t.set_column(
+        return t.set_column(
             t.schema.get_field_index("html"), "html", pa.array(htmls, pa.binary())
         )
-        tmp = f"{out}.build-{os.getpid()}"
-        write_pages_parquet(t, tmp, rows_per_file=4096)
-        with open(os.path.join(tmp, "_DONE"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, out)
-        except OSError:
-            import shutil
 
-            shutil.rmtree(tmp, ignore_errors=True)
-    _PAGES_CACHE[key] = out
-    return out
+    return _pages_corpus(f"{sf_dir}|condget2", make_pages)
 
 
 def q_crawl_conditional_get(sf_dir: str):
@@ -7876,10 +7673,7 @@ def q_crawl_conditional_get(sf_dir: str):
 
     corpus = pages_corpus_dir(sf_dir)
     v2 = _condget_v2_corpus(sf_dir)
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16, mode="cuckoo")
     frontier = Frontier(cfg)
     try:
@@ -8385,24 +8179,19 @@ def q_crawl_from_warc(sf_dir: str):
     from ..sources.warc import read_warc, write_warc
     from .crawl import CrawlConfig, run_crawl
 
-    tag = hashlib.blake2b(f"replay|{sf_dir}".encode(), digest_size=6).hexdigest()
-    warc_dir = f"/tmp/louis_replay_warc_{tag}"
-    replay_dir = f"/tmp/louis_replay_pages_{tag}"
-    if not os.path.exists(os.path.join(replay_dir, "_DONE")):
-        shutil.rmtree(warc_dir, ignore_errors=True)
-        shutil.rmtree(replay_dir, ignore_errors=True)
+    def build(tmp: str) -> None:
+        # the archive is private to this build, removed once read back
+        warc_dir = os.path.join(tmp, "_warc")
         pages = _rd.read_parquet(
             pages_corpus_dir(sf_dir), columns=["url", "warc_ts", "html"]
         )
         write_warc(pages, warc_dir, gzip=True)
-        read_warc(warc_dir).write_parquet(replay_dir)
-        with open(os.path.join(replay_dir, "_DONE"), "w") as f:
-            f.write("ok")
+        read_warc(warc_dir).write_parquet(tmp)
+        shutil.rmtree(warc_dir)
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    tag = hashlib.blake2b(f"replay|{sf_dir}".encode(), digest_size=6).hexdigest()
+    replay_dir = build_once(f"/tmp/louis_replay_pages_{tag}", build)
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16)
     res = run_crawl(replay_dir, [seed], cfg)
     return res.order.select(["url", "depth"])
@@ -8424,21 +8213,6 @@ def q_sitemap_seeds(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_xml(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("url")
         parts = ['<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9">']
@@ -8454,7 +8228,7 @@ def q_sitemap_seeds(sf_dir: str):
 
     sitemaps = (
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_xml, batch_format="pandas")
     )
@@ -8498,21 +8272,6 @@ def q_sitemap_priority_crawl(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_xml(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("url")
         parts = ['<urlset xmlns="http://www.sitemaps.org/schemas/sitemap/0.9">']
@@ -8530,7 +8289,7 @@ def q_sitemap_priority_crawl(sf_dir: str):
 
     seeds = sitemap_seeds(
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_xml, batch_format="pandas")
     )
@@ -10864,21 +10623,6 @@ def q_feed_discovery(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_feeds(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(day=g["doc_id"] % 365).sort_values(
             ["day", "url"], ascending=[False, True]
@@ -10907,7 +10651,7 @@ def q_feed_discovery(sf_dir: str):
 
     feeds = (
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_feeds, batch_format="pandas")
     )
@@ -11076,10 +10820,7 @@ def q_crawl_adaptive_recrawl(sf_dir: str):
         .take_all()
     }
 
-    docs = _docs_table(sf_dir)
-    lang0, src0 = docs["lang"][0].as_py(), docs["source"][0].as_py()
-    seg0 = "fra" if lang0 == "fr" else lang0
-    seed = f"{SITE}/{seg0}/{src0}/doc0"
+    seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16, mode="cuckoo")
     frontier = Frontier(cfg)
     try:
@@ -11160,21 +10901,6 @@ def q_sitemap_index(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_site(g: pd.DataFrame) -> pd.DataFrame:
         host = g["host"].iloc[0]
         sm_urls, xmls = [], []
@@ -11197,7 +10923,7 @@ def q_sitemap_index(sf_dir: str):
 
     site = (
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_site, batch_format="pandas")
     )
@@ -11565,21 +11291,6 @@ def q_robots_sitemaps(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_site(g: pd.DataFrame) -> pd.DataFrame:
         host = g["host"].iloc[0]
         sm_urls, xmls = [], []
@@ -11610,7 +11321,7 @@ def q_robots_sitemaps(sf_dir: str):
 
     site = (
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_site, batch_format="pandas")
     )
@@ -11789,21 +11500,6 @@ def q_crawl_feed_seeded(sf_dir: str):
     corpus = multihost_corpus_dir(sf_dir)
     base = _dt.date(2024, 1, 1)
 
-    def host_rows(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        return pa.table(
-            {
-                "host": pa.array(
-                    [u.split("//", 1)[1].split("/", 1)[0] for u in urls],
-                    pa.string(),
-                ),
-                "url": b["url"],
-                "doc_id": pa.array(
-                    [int(u.rsplit("doc", 1)[1]) for u in urls], pa.int64()
-                ),
-            }
-        )
-
     def build_feeds(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(day=g["doc_id"] % 365).sort_values(
             ["day", "url"], ascending=[False, True]
@@ -11829,7 +11525,7 @@ def q_crawl_feed_seeded(sf_dir: str):
 
     feeds = (
         _rd.read_parquet(corpus, columns=["url"])
-        .map_batches(host_rows, batch_format="pyarrow")
+        .map_batches(_host_rows, batch_format="pyarrow")
         .groupby("host")
         .map_groups(build_feeds, batch_format="pandas")
     )

@@ -324,3 +324,42 @@ def write_pages_parquet(
         )
     with open(os.path.join(out_dir, "_BUCKETS.json"), "w") as f:
         json.dump({"n_buckets": n_buckets}, f)
+
+
+def build_once(out_dir: str, build) -> str:
+    """Build a derived corpus directory once and commit it atomically.
+
+    Returns ``out_dir`` at once when ``out_dir/_DONE`` exists.
+    Otherwise ``build(tmp)`` writes the corpus into a fresh per-process
+    ``{out_dir}.build-{pid}`` directory, which gets ``_DONE`` and is
+    renamed onto ``out_dir``: concurrent processes never see a
+    half-written corpus. If another process commits first, the rename
+    fails and this process drops its own copy and uses theirs. A
+    directory at ``out_dir`` without ``_DONE`` was never committed (an
+    interrupted in-place build) and is replaced.
+
+    The cache key, i.e. ``out_dir``, decides reuse, not the code of
+    ``build``: after a builder changes, its old corpus is still served
+    until the directory is removed or the key changes.
+    """
+    import os
+    import shutil
+
+    done = os.path.join(out_dir, "_DONE")
+    if os.path.exists(done):
+        return out_dir
+    tmp = f"{out_dir}.build-{os.getpid()}"
+    shutil.rmtree(tmp, ignore_errors=True)  # left by a dead process, same pid
+    os.makedirs(tmp)
+    build(tmp)
+    with open(os.path.join(tmp, "_DONE"), "w") as f:
+        f.write("ok")
+    if os.path.isdir(out_dir) and not os.path.exists(done):
+        # an uncommitted leftover would make the rename fail
+        shutil.rmtree(out_dir, ignore_errors=True)
+    try:
+        os.rename(tmp, out_dir)
+    except OSError:
+        # another process won the race; use its corpus
+        shutil.rmtree(tmp, ignore_errors=True)
+    return out_dir

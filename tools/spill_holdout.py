@@ -109,9 +109,7 @@ def main(argv=None) -> int:
     prime_sec = round(time.perf_counter() - t0, 1)
     spill_after_prime = _spill_stats()
 
-    cfg = CrawlConfig(
-        n_shards=8, max_depth=24, max_rounds=28, extract_batch_size=512
-    )
+    cfg = CrawlConfig(n_shards=8, max_depth=24, max_rounds=28)
     run_crawl(corpus, [seed], cfg, out_dir=None)  # warm
     trial_secs = []
     res = None

@@ -1,6 +1,6 @@
 """Deterministic tokenizer — stand-in for tiktoken cl100k_base.
 
-tiktoken is not installed in this environment (reference loads it at
+tiktoken is not a dependency of this package (reference loads it at
 louis/crawler/chunking.py:10). This encoder reproduces the *interface
 and determinism contract* the chunker needs — ``encode(text) ->
 list[int]`` with stable ids across processes/runs — using a BPE-ish

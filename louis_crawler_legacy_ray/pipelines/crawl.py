@@ -22,12 +22,14 @@ Round r (SURVEY §3.4):
     finish:  shards quarantine still-in-flight URLs as errored (the
              reference's 404 path, responses.py:30-35,
              goldie_playwright_parallel.py:831-845); the stats carry
-             each shard's counts (the round's pending lag)
+             each shard's counts as the deliveries left them (the
+             round's admitted total and pending lag)
     checkpoint: per-shard parquet dump + lineage manifest + metrics
 
-So a round costs the driver four sequential waves of shard calls:
-take, the ``counts()`` poll that reconciles the round tasks'
-deliveries, finish_round, and dump when checkpointing.
+So a round costs the driver three sequential waves of shard calls:
+take, finish_round, and dump when checkpointing. Between take and
+finish the driver waits on the refs of the round tasks' shard sends,
+so a failed delivery raises instead of going missing.
 
 The reference's production loop is the same shape with a single-process
 seen set and a ProcessPoolExecutor batch barrier
@@ -1033,15 +1035,15 @@ def _round_task(
     policy: RoundPolicy,
     out_part: str | None,
     task_idx: int,
-) -> pa.Table:
+) -> tuple[pa.Table, list]:
     """One round x one page source: fetch (``source.pages``) + extract,
     then SEND the control rows straight to their owning shard actors
-    (fire-and-forget — no blocking ray.get in the data plane, and the
-    driver never conveys per-URL data). Returns only delivery counts;
-    the driver reconciles them against the shards' received counters
-    before closing the round. This is the multi-node control shape:
-    candidates flow task->shard through the object store, the driver
-    handles integers.
+    (no blocking ray.get in the data plane, and the driver never
+    conveys per-URL data). Returns the counts table and the refs of
+    those shard calls; the driver awaits the refs before closing the
+    round, so a shard that raises on a delivery fails the round. This
+    is the multi-node control shape: candidates flow task->shard
+    through the object store, the driver handles integers and refs.
 
     ``sel_parts`` is a list of (shard-selection ObjectRef,
     (offset, len) slices | None): the task reads ONLY those slices —
@@ -1051,8 +1053,8 @@ def _round_task(
     r3 distributed control plane: the driver never holds or re-ships
     the round's URL set).
 
-    Each task returns per-phase wall timings alongside its sent counts
-    (the per-partition throughput/lag metrics the frontier design
+    Each task returns per-phase wall timings alongside its fetched
+    count (the per-partition throughput/lag metrics the frontier design
     calls for); _await_round folds them into the round's metrics row."""
     ts0 = time.time()
     if policy.task_delay_ms:
@@ -1072,7 +1074,7 @@ def _round_task(
         urls, htmls, sel_index = source.pages(sel["url"].combine_chunks())
     ts1 = time.time()
     if not urls:
-        return _counts_table(0, 0, ts0, ts1 - ts0, 0.0, 0.0, ts1)
+        return _counts_table(0, ts0, ts1 - ts0, 0.0, 0.0, ts1), []
     take = pa.array(sel_index)
     depths = sel["depth"].combine_chunks().take(take).to_pylist()
     # OPIC: each fetched page's frozen cash rides along so the control
@@ -1090,14 +1092,14 @@ def _round_task(
     ts2 = time.time()
     if out_part is not None:
         _write_items_part(items, out_part, f"part-{task_idx:05d}")
-    n_f, n_c = _send_control(items, shards, policy)
+    sends = _send_control(items, shards, policy)
     ts3 = time.time()
-    return _counts_table(n_f, n_c, ts0, ts1 - ts0, ts2 - ts1, ts3 - ts2, ts3)
+    counts = _counts_table(items.num_rows, ts0, ts1 - ts0, ts2 - ts1, ts3 - ts2, ts3)
+    return counts, sends
 
 
 def _counts_table(
     n_f: int,
-    n_c: int,
     ts_start: float,
     t_filter: float,
     t_extract: float,
@@ -1107,7 +1109,6 @@ def _counts_table(
     return pa.table(
         {
             "n_fetched_sent": pa.array([n_f], pa.int64()),
-            "n_candidates_sent": pa.array([n_c], pa.int64()),
             "ts_start": pa.array([ts_start], pa.float64()),
             "t_filter": pa.array([t_filter], pa.float64()),
             "t_extract": pa.array([t_extract], pa.float64()),
@@ -1117,30 +1118,30 @@ def _counts_table(
     )
 
 
-def _send_control(items: pa.Table, shards, policy: RoundPolicy) -> tuple[int, int]:
-    """Fire-and-forget the round's control rows from inside a data task
-    to their owning shard actors; returns the (fetched, candidates)
-    sent counts for the driver's delivery reconciliation."""
+def _send_control(items: pa.Table, shards, policy: RoundPolicy) -> list:
+    """Send the round's control rows from inside a data task to their
+    owning shard actors without waiting; returns the refs of the
+    ``record_fetched`` / ``enqueue`` calls for the driver to await."""
     ctrl = _control_from_items(items, policy)
     is_f = pc.equal(ctrl["kind"], "f")
     fetched = dict(split_by_shard(ctrl.filter(is_f), policy.n_shards))
     cands = dict(split_by_shard(ctrl.filter(pc.invert(is_f)), policy.n_shards))
-    n_f = n_c = 0
+    refs = []
     for sid in sorted(fetched.keys() | cands.keys()):
         f = fetched.get(sid)
         if f is not None:
-            n_f += f.num_rows
-            shards[sid].record_fetched.remote(f["url"].combine_chunks())
+            refs.append(shards[sid].record_fetched.remote(f["url"].combine_chunks()))
         c = cands.get(sid)
         if c is not None:
-            n_c += c.num_rows
-            shards[sid].enqueue.remote(
-                c["url"].combine_chunks(),
-                c["depth"].combine_chunks(),
-                c["host"].combine_chunks(),
-                c["cash"].combine_chunks() if "cash" in c.column_names else None,
+            refs.append(
+                shards[sid].enqueue.remote(
+                    c["url"].combine_chunks(),
+                    c["depth"].combine_chunks(),
+                    c["host"].combine_chunks(),
+                    c["cash"].combine_chunks() if "cash" in c.column_names else None,
+                )
             )
-    return n_f, n_c
+    return refs
 
 
 def _held(counts: list[dict]) -> int:
@@ -1148,27 +1149,26 @@ def _held(counts: list[dict]) -> int:
     return sum(c["pending"] + c["seen"] + c["errored"] + c["in_flight"] for c in counts)
 
 
-def _await_round(count_refs, frontier: "Frontier", round_no: int, base: list) -> dict:
-    """Collect per-task sent counts and block until every
-    fire-and-forget task->shard delivery has landed (reconciliation of
-    the shards' ``counts()`` delivery counters against ``base``, the
-    round-start counts). Actor methods run one at a time, so once the
-    counters match, every admission has landed in the same poll's set
-    sizes — the round's admitted total comes from that last poll.
+def _await_round(task_refs) -> dict:
+    """Collect the round tasks' counts and wait, in one ``ray.get``, on
+    the refs of every shard send they made. Once it returns, every
+    delivery has run on its shard, so the finish_round that follows
+    sees the whole round; a shard that raised on a delivery raises
+    here.
 
     Stop-aware: when the graceful-stop flag is raised mid-round, tasks
     not yet finished are cancelled (queued ones cleanly, running ones
     via Ray's in-task interrupt), a short grace window harvests tasks
-    that beat the cancel, and reconciliation proceeds over ONLY the
-    completed tasks' sent counts — their deliveries are the salvaged
-    portion of the round. Returns ``interrupted=True`` so run_frontier
-    takes the salvage path instead of finish_round."""
+    that beat the cancel, and only the completed tasks' sends are
+    awaited — their deliveries are the salvaged portion of the round.
+    Returns ``interrupted=True`` so run_frontier takes the salvage path
+    instead of finish_round."""
     import time as _time
 
     t_submit_done = _time.perf_counter()
     interrupted = False
     ready: list = []
-    undone = list(count_refs)
+    undone = list(task_refs)
     while undone:
         r, undone = ray.wait(undone, num_returns=len(undone), timeout=0.05)
         ready.extend(r)
@@ -1182,12 +1182,12 @@ def _await_round(count_refs, frontier: "Frontier", round_no: int, base: list) ->
             r2, _ = ray.wait(undone, num_returns=len(undone), timeout=1.0)
             ready.extend(r2)
             break
-    tbls = []
+    tbls, sends = [], []
     for ref in ready:
         try:
-            tbls.append(ray.get(ref))
+            tbl, refs = ray.get(ref)
         except ray.exceptions.TaskCancelledError:
-            pass  # task ended cancelled: nothing sent to reconcile
+            continue  # task ended cancelled: no sends to await
         except Exception:
             # during a graceful stop ANY task error is salvage noise
             # (the cancel can surface as RayTaskError/WorkerCrashed);
@@ -1197,36 +1197,22 @@ def _await_round(count_refs, frontier: "Frontier", round_no: int, base: list) ->
             # infra failure as errored 'not_found' (ADVICE r3, medium)
             if not interrupted:
                 raise
+            continue
+        tbls.append(tbl)
+        sends.extend(refs)
     if not tbls:
-        return {"fetched": 0, "admitted": 0, "interrupted": interrupted}
+        return {"fetched": 0, "interrupted": interrupted}
     counts = pa.concat_tables(tbls)
     t_counts = _time.perf_counter() - t_submit_done
-    exp_f = int(pc.sum(counts["n_fetched_sent"]).as_py() or 0)
-    exp_c = int(pc.sum(counts["n_candidates_sent"]).as_py() or 0)
-    deadline = _time.monotonic() + 120
     t_poll0 = _time.perf_counter()
-    while True:
-        got = ray.get([s.counts.remote() for s in frontier.shards])
-        df = sum(g["recv_fetched"] - b["recv_fetched"] for g, b in zip(got, base))
-        dc = sum(
-            g["recv_candidates"] - b["recv_candidates"] for g, b in zip(got, base)
-        )
-        if df >= exp_f and dc >= exp_c:
-            break
-        if _time.monotonic() > deadline:
-            raise TimeoutError(
-                f"round {round_no}: shard delivery stalled "
-                f"({df}/{exp_f} fetched, {dc}/{exp_c} candidates)"
-            )
-        _time.sleep(0.005)
+    ray.get(sends)
     t_poll = _time.perf_counter() - t_poll0
     out = {
-        "fetched": exp_f,
-        "admitted": _held(got) - _held(base),
+        "fetched": int(pc.sum(counts["n_fetched_sent"]).as_py() or 0),
         "interrupted": interrupted,
     }
     # per-partition timing rollup (every round task stamps wall-clock
-    # phases)
+    # phases); t_poll is the wait on the shard sends
     ts_s = counts["ts_start"].to_pylist()
     ts_e = counts["ts_end"].to_pylist()
     out["prof"] = {
@@ -1245,7 +1231,6 @@ def _await_round(count_refs, frontier: "Frontier", round_no: int, base: list) ->
 
 def _run_round(
     plan: list,
-    sel: RoundSelection,
     frontier: Frontier,
     policy: RoundPolicy,
     out_dir: str | None,
@@ -1254,26 +1239,20 @@ def _run_round(
 ) -> dict:
     """Submit one ``_round_task`` per planned (page source, sel_parts)
     pair and await the round: every expand stage shares this, and
-    differs only in how it plans the pairs."""
+    differs only in how it plans the pairs. The stats carry no
+    ``admitted``: run_frontier takes it from the finish counts."""
     out_part = (
         f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}"
         if out_dir is not None
         else None
     )
-    # the reconciliation base is the selection's per-shard counts:
-    # nothing delivers to a shard between take and this submission
-    # (the previous round's deliveries were reconciled before its
-    # finish_round), so they equal a fresh counts() here
-    base = sel.counts
     t0 = time.perf_counter()
-    count_refs = [
+    task_refs = [
         _round_task.remote(source, sel_parts, frontier.shards, policy, out_part, i)
         for i, (source, sel_parts) in enumerate(plan)
     ]
     t_submit = time.perf_counter() - t0
-    if not count_refs:
-        return {"fetched": 0, "admitted": 0}
-    stats = _await_round(count_refs, frontier, round_no, base)
+    stats = _await_round(task_refs)
     if "prof" in stats:
         stats["prof"]["t_submit"] = round(t_submit, 4)
     return stats
@@ -1303,7 +1282,7 @@ def fetcher_expand(
             for meta, ref in zip(sel.metas, sel.refs)
             for off in range(0, meta["count"], chunk_size)
         ]
-        return _run_round(plan, sel, frontier, policy, out_dir, round_no, part_tag)
+        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
 
     return expand
 
@@ -1413,7 +1392,7 @@ def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us:
             parts = _sel_parts(sel, gb if needed is not None else None)
             if grp and parts:
                 plan.append((_CorpusPages(grp), parts))
-        return _run_round(plan, sel, frontier, policy, out_dir, round_no, part_tag)
+        return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
 
     # run_frontier reads this to ask take_round for bucket-grouped
     # shard selections (shard-side url_bucket + range metadata)
@@ -1701,13 +1680,19 @@ def run_frontier(
                 if order_dir is None:
                     order_refs.extend(part_refs)
             dt = time.perf_counter() - t0
+            admitted = stats.get("admitted")
+            if admitted is None:
+                # the round tasks delivered straight to the shards: the
+                # fin counts are the shards' after every delivery and
+                # before any quarantine, sel.counts those at the take
+                admitted = _held([f["counts"] for f in fin]) - _held(sel.counts)
             row = {
                 "round": round_no,
                 "selected": sel.total,
                 "fetched": stats["fetched"],
                 "errored": sum(f.get("errored", 0) for f in fin),
                 "retried": sum(f.get("retried", 0) for f in fin),
-                "new_candidates": stats["admitted"],
+                "new_candidates": admitted,
                 "pending_lag": sum(f["counts"]["pending"] for f in fin),
                 "seconds": dt,
                 "urls_per_sec": sel.total / dt if dt > 0 else 0.0,

@@ -77,9 +77,12 @@ def extract_items(
     one Arrow→str copy instead of a filter copy plus to_pylist) skip the
     table detour.
 
-    A page html.parser rejects (:class:`MarkupRejected`) yields no row:
-    in a crawl it is never recorded fetched, so it ends errored like a
-    failed fetch and sends no candidates. ``extra`` columns (one value
+    A page html.parser rejects (:class:`MarkupRejected`), or one with
+    an href ``urllib.parse`` cannot split (``ValueError``, e.g.
+    ``//[bad/x``), yields no row: in a crawl it is never recorded
+    fetched, so it ends errored like a failed fetch and sends no
+    candidates (Scrapy likewise drops the item of a page whose parse
+    callback raises and crawls on). ``extra`` columns (one value
     per input row) ride along, aligned to the rows kept."""
     out: dict[str, list] = {
         "url": [],
@@ -103,7 +106,7 @@ def extract_items(
             rec = extract_page(
                 url, html, now=now_us, allowed_domains=allowed_domains, profile=profile
             )
-        except MarkupRejected:
+        except (MarkupRejected, ValueError):
             continue
         kept.append(i)
         out["url"].append(rec["url"])

@@ -124,7 +124,7 @@ def partitioned_hash_join(
     EXACT here — fusing it avoids a second all-to-all on the join
     output (the classic join+groupby-same-key fusion).
 
-    Prefer ``Dataset.join`` when the installed Ray exposes it; this is
+    Prefer ``Dataset.join`` when the Ray in use exposes it; this is
     the portable fallback (ray_guide: explicit partitioned hash join).
     """
     import pandas as pd

@@ -110,7 +110,12 @@ class RobotsCache:
     def allowed(self, url: str) -> bool:
         if not self.obey:
             return True
-        parsed = urlparse(url)
+        try:
+            parsed = urlparse(url)
+        except ValueError:
+            # unparseable ("http://[bad/x"): the router gives it host
+            # "", which has no robots.txt; it fails at fetch instead
+            return True
         if self.matcher == "rfc9309":
             m = self._rfc_for(parsed.netloc)
             if m is None:

@@ -35,8 +35,9 @@ enqueue/take semantics, :606-664):
                           emitted; the stats carry the shard's counts
 
 So the driver meets each shard once per step of a round: take,
-finish_round and (with checkpointing) dump, plus the ``counts()`` poll
-that reconciles the round tasks' deliveries.
+finish_round and (with checkpointing) dump. The round tasks'
+``record_fetched`` / ``enqueue`` calls reach the shards directly; the
+driver waits on their refs, not on shard-side counters.
 
 A shard is built from the crawl's ``CrawlConfig`` (its
 ``priority_scores`` cut to this shard's slice) and reads every budget,
@@ -408,11 +409,6 @@ class FrontierShard:
             if cfg.politeness == "token_bucket" and cfg.per_host_budget is not None
             else None
         )
-        # delivery counters for fire-and-forget task->shard RPCs: the
-        # driver reconciles these against per-task sent counts instead
-        # of shipping control rows through itself
-        self.recv_fetched = 0
-        self.recv_candidates = 0
         # the current round's selection, held SHARD-SIDE (r3: the
         # driver's round control plane works on counts/probes/refs,
         # never on a row table proportional to the round)
@@ -452,7 +448,6 @@ class FrontierShard:
         builder computed; shares sum into the URL's account while it is
         pending and vanish once it is selected/seen/quarantined (the
         paper's "cash of an already-read page goes to history")."""
-        self.recv_candidates += len(urls)
         added = 0
         if cash is None or not self.track_cash:
             cash = _ZERO_CASH
@@ -530,7 +525,6 @@ class FrontierShard:
         """in_flight -> seen for successfully fetched URLs. Called from
         parallel map tasks as results stream in (idempotent). C-level
         set ops, no per-URL loop."""
-        self.recv_fetched += len(urls)
         s = set(urls.to_pylist())
         self.in_flight -= s
         self.seen |= s
@@ -750,7 +744,7 @@ class FrontierShard:
     def _part(self, n_buckets: int | None) -> tuple[dict, pa.Table]:
         """The held selection as (meta, table) for the data plane. The
         meta carries the count, this shard's ``counts()`` (the round's
-        start counts the driver reconciles deliveries against) and,
+        start counts the driver measures admissions from) and,
         with n_buckets, bucket -> (offset, len) ranges: the rows are
         grouped by the corpus url-hash bucket, so a fused round task
         zero-copy-slices exactly the buckets its corpus blocks can
@@ -834,11 +828,13 @@ class FrontierShard:
         errored (the reference's 404 path) and emit THIS shard's slice
         of the crawl order — the selection minus the failed rows.
         Called with num_returns=2: the driver ray.gets only the small
-        stats dict, which carries this shard's end-of-round
-        ``counts()`` (the round's pending lag); the order part is a ref
-        or a parquet file (see _order_part). Replaces the driver-side
-        ``order_parts.append`` accumulation (VERDICT r2 'What's wrong'
-        #2).
+        stats dict, which carries this shard's ``counts()`` as the
+        round's deliveries left them, taken before anything is
+        quarantined (the driver's admitted total; quarantine moves
+        nothing out of pending, so they are also the round's pending
+        lag); the order part is a ref or a parquet file (see
+        _order_part). Replaces the driver-side ``order_parts.append``
+        accumulation (VERDICT r2 'What's wrong' #2).
 
         With ``cfg.max_retries > 0`` a failed fetch is TRANSIENT until
         its failure count exceeds the cap: failure #f re-schedules the
@@ -846,6 +842,7 @@ class FrontierShard:
         backoff, state colocated in this shard); only failure
         #(max_retries+1) quarantines. Retried URLs are excluded from
         this round's order part exactly like quarantined ones."""
+        counts = self.counts()
         max_retries = self.cfg.max_retries
         urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
         failed = sorted(self.in_flight)
@@ -878,7 +875,7 @@ class FrontierShard:
             "errored": len(errored),
             "ok": len(urls),
             "retried": len(failed) - len(errored),
-            "counts": self.counts(),
+            "counts": counts,
         }
         name = f"shard-{self.shard_id:04d}.parquet"
         return stats, self._order_part(round_no, urls, depths, order_dir, name)
@@ -957,8 +954,9 @@ class FrontierShard:
 
     # -- introspection / checkpoint ---------------------------------
     def counts(self) -> dict:
-        """Set sizes plus the task->shard delivery counters the driver
-        reconciles a round against (``recv_*``)."""
+        """This shard's set sizes. ``take`` / ``truncate_selection``
+        metas and the end-of-round stats carry them, so the driver
+        calls this only once, at the end of a crawl."""
         return {
             "shard": self.shard_id,
             "seen": len(self.seen),
@@ -966,8 +964,6 @@ class FrontierShard:
             "errored": len(self.errored),
             "in_flight": len(self.in_flight),
             "retrying": len(self.retrying),
-            "recv_fetched": self.recv_fetched,
-            "recv_candidates": self.recv_candidates,
         }
 
     def dump(self) -> dict[str, pa.Table]:

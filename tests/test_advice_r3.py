@@ -110,7 +110,7 @@ def test_await_round_reraises_task_crash(ray_session):
         raise RuntimeError("worker exploded")
 
     with pytest.raises(ray.exceptions.RayTaskError):
-        _await_round([boom.remote()], None, 0, [])
+        _await_round([boom.remote()])
 
 
 def test_stale_stop_flag_does_not_truncate_next_crawl(ray_session, tmp_path):

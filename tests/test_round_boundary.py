@@ -1,9 +1,9 @@
 """The round boundary: ``take`` and ``finish_round`` hand the driver the
 selection and the shard counts in the call that made them, so a round
-costs one wave per step (take, the reconciliation poll, finish_round,
-dump). Pins the wave count, the ``round_limit`` truncation over a
-bucketed corpus (where ``truncate_selection`` rebuilds the part), and a
-page html.parser rejects taking the failed-fetch path."""
+costs one wave per step (take, finish_round, dump). Pins the wave
+count, the ``round_limit`` truncation over a bucketed corpus (where
+``truncate_selection`` rebuilds the part), and a page html.parser or
+urllib.parse rejects taking the failed-fetch path."""
 
 import sys
 
@@ -65,8 +65,8 @@ def test_round_limit_bucketed_matches_flat(ray_session, corpora, n_shards):
 
 def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
     """Driver-side shard calls per round and shard: take 1, finish_round
-    1, dump 1 (checkpointing), no selection_part; ``counts`` only from
-    the reconciliation poll and once at the end for CrawlResult.counts."""
+    1, dump 1 (checkpointing), no selection_part; ``counts`` only once at
+    the end for CrawlResult.counts."""
     import ray.actor
 
     flat, _bucketed, seed = corpora
@@ -107,12 +107,10 @@ def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
     assert n_calls("dump") == n * rounds
     assert n_calls("selection_part") == 0
     assert n_calls("truncate_selection") == n_calls("sel_sample") == 0
-    # counts: the reconciliation poll (at least one wave a round) plus
-    # the one final Frontier.counts() — no base or post-finish waves
-    assert {c for m, c in calls if m == "counts"} == {"_await_round", "counts"}
+    # counts: only the one final Frontier.counts() — the round waits on
+    # its deliveries' refs, not on a counts() poll
+    assert n_calls("counts") == n
     assert n_calls("counts", "counts") == n
-    assert n_calls("counts", "_await_round") >= n * rounds
-    assert n_calls("counts", "_await_round") % n == 0
     # pending_lag and retry checks read the counts the calls returned
     assert res.metrics[-1]["pending_lag"] == res.counts["pending"] == 0
 
@@ -163,3 +161,43 @@ def test_marked_section_page_is_a_failed_fetch(ray_session, tmp_path):
         "http://a.ca/2",
         "http://a.ca/4",
     ]
+
+
+@pytest.mark.parametrize(
+    "href, allowed_domains",
+    [
+        ("//[bad/x", None),  # urljoin raises in extract_children
+        ("//[bad/x", ["a.ca"]),
+        ("http://[bad/x", ["a.ca"]),  # urlparse raises in both link lists
+    ],
+)
+def test_unsplittable_href_page_is_a_failed_fetch(ray_session, href, allowed_domains):
+    """A page with an href urllib.parse raises on fails like a fetch:
+    errored, no candidates (/3 is linked only from it); the crawl goes
+    on instead of failing the round."""
+    from louis_crawler_legacy_ray.pipelines.crawl import run_crawl_with_fetcher
+    from louis_crawler_legacy_ray.stages.fetch import DictFetcher
+
+    def page(body: str) -> str:
+        return f"<html><body><main><h1>t</h1>{body}</main></body></html>"
+
+    htmls = {
+        "http://a.ca/0": page('<a href="/1">1</a><a href="/2">2</a>'),
+        "http://a.ca/1": page(f'<a href="{href}">x</a><a href="/3">3</a>'),
+        "http://a.ca/2": page('<p>two</p><a href="/4">4</a>'),
+        "http://a.ca/3": page("<p>three</p>"),
+        "http://a.ca/4": page("<p>four</p>"),
+    }
+    res = run_crawl_with_fetcher(
+        lambda: DictFetcher(htmls),
+        ["http://a.ca/0"],
+        CrawlConfig(n_shards=2, max_depth=3, allowed_domains=allowed_domains),
+    )
+    assert _order(res) == [
+        (0, 0, "http://a.ca/0"),
+        (1, 1, "http://a.ca/2"),
+        (2, 2, "http://a.ca/4"),
+    ]
+    assert res.counts["errored"] == 1
+    assert res.counts["seen"] == 3
+    assert res.counts["pending"] == 0

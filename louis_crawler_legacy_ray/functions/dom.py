@@ -2,8 +2,8 @@
 
 bs4/lxml are not available in this environment, so this module provides
 the small subset of soup functionality the reference's kernels need
-(louis/crawler/spiders/goldie.py:47-61 cleaning and
-louis/crawler/chunking.py heading-block grouping):
+(louis/crawler/spiders/goldie.py:47-61 cleaning; the chunker and the
+goldie item extract read the token stream and build no tree):
 
   - tokenize HTML once into a sink (``feed``): start/end/data/comment
     events, the same from the fast tokenizer and from html.parser
@@ -11,8 +11,7 @@ louis/crawler/chunking.py heading-block grouping):
     preserved as nodes)
   - select by tag name / css class; remove subtrees; strip comments
   - serialize back to HTML (attrs in insertion order)
-  - get_text, document-order traversal, sibling/parent navigation
-  - mutations used by the chunker: wrap / unwrap / append (move)
+  - get_text, document-order traversal
 
 The serializer matches ``str(BeautifulSoup(..., 'lxml'))`` output rules
 byte-for-byte on well-formed input (reference tests/test_goldie.py:46-50
@@ -124,9 +123,9 @@ class Element:
 
     def __init__(self, name: str, attrs: dict | None = None):
         self.name = name
-        # attrs may hold non-string values (the chunker caches token lists
-        # in attrs, mirroring chunking.py:14-36); only string values are
-        # serialized.
+        # attrs may hold non-string values (a caller may cache in them,
+        # as the reference chunker caches token lists, chunking.py:14-36);
+        # only string values are serialized.
         self.attrs: dict = dict(attrs) if attrs else {}
         self.children: list = []
         self.parent: Element | None = None
@@ -157,12 +156,6 @@ class Element:
                 yield child
                 yield from child.iter_elements()
 
-    def iter_nodes(self):
-        for child in self.children:
-            yield child
-            if isinstance(child, Element):
-                yield from child.iter_nodes()
-
     def find_all(self, matcher) -> list["Element"]:
         """matcher: callable(Element) -> bool, or a tag-name string."""
         if isinstance(matcher, str):
@@ -183,66 +176,12 @@ class Element:
     def select_class(self, cls: str) -> list["Element"]:
         return self.find_all(lambda e: e.has_class(cls))
 
-    def find_next_siblings(self) -> list:
-        """Following sibling Elements (tag siblings only, like soup's
-        find_next_siblings)."""
-        if self.parent is None:
-            return []
-        sibs = self.parent.children
-        idx = sibs.index(self)
-        return [s for s in sibs[idx + 1 :] if isinstance(s, Element)]
-
-    def next_siblings_all(self) -> list:
-        """All following sibling nodes incl. text (soup .next_siblings)."""
-        if self.parent is None:
-            return []
-        sibs = self.parent.children
-        idx = sibs.index(self)
-        return list(sibs[idx + 1 :])
-
-    def find_next_sibling_class(self, cls: str):
-        for s in self.next_siblings_all():
-            if isinstance(s, Element) and s.has_class(cls):
-                return s
-        return None
-
-    def find_parent_class(self, cls: str):
-        node = self.parent
-        while node is not None:
-            if node.has_class(cls):
-                return node
-            node = node.parent
-        return None
-
     # -- mutation ----------------------------------------------------
     def extract(self) -> None:
         """Remove this subtree from its parent."""
         if self.parent is not None:
             self.parent.children.remove(self)
             self.parent = None
-
-    def unwrap(self) -> None:
-        """Replace this element by its children (soup .unwrap)."""
-        if self.parent is None:
-            return
-        idx = self.parent.children.index(self)
-        kids = list(self.children)
-        for k in kids:
-            k.parent = self.parent
-        self.parent.children[idx : idx + 1] = kids
-        self.children = []
-        self.parent = None
-
-    def wrap(self, wrapper: "Element") -> "Element":
-        """Wrap this element in wrapper, in place (soup .wrap)."""
-        parent = self.parent
-        if parent is not None:
-            idx = parent.children.index(self)
-            parent.children[idx] = wrapper
-            wrapper.parent = parent
-        self.parent = wrapper
-        wrapper.children.append(self)
-        return wrapper
 
     # -- text / serialization ---------------------------------------
     def get_text(self) -> str:
@@ -385,9 +324,10 @@ def parse_html_stdlib(html: str) -> Element:
 # in tests/test_fast_parser.py and by the reference-fixture goldens) in
 # a single forward pass, and hands each token to a sink: the tree
 # builder above, or a sink that keeps only what its caller reads (the
-# goldie item sink in html_kernels builds no tree at all).  A marked
-# section ("<![" where markup starts) and any input that raises go
-# through stdlib html.parser into a fresh sink instead (see feed).
+# goldie item sink in html_kernels and the chunk sink in chunking build
+# no tree at all).  A marked section ("<![" where markup starts) and any
+# input that raises go through stdlib html.parser into a fresh sink
+# instead (see feed).
 # ---------------------------------------------------------------------------
 
 import re as _re
@@ -609,40 +549,6 @@ def feed(html: str, make_sink):
 def parse_html(html: str) -> Element:
     """Parse an HTML string into a document Element (name='[document]')."""
     return feed(html, _TreeBuilder).root
-
-
-def ensure_body(doc: Element) -> Element:
-    """Return the <body> element, synthesizing <html><body> wrappers for
-    fragments, mirroring bs4(lxml)'s fragment promotion
-    (chunking.py:265-268 relies on it)."""
-    body = doc.find("body")
-    if body is not None:
-        return body
-    html_el = doc.find("html")
-    if html_el is None:
-        html_el = Element("html")
-        for node in list(doc.children):
-            html_el.append(node)
-        doc.append(html_el)
-    head = html_el.find(lambda e: e.name == "head")
-    if head is None:
-        head = Element("head")
-        html_el.append(head)
-    body = Element("body")
-    for node in list(html_el.children):
-        if isinstance(node, Element) and node.name in ("head", "body"):
-            continue
-        # lxml promotes head-only content of fragments into <head>, so
-        # e.g. a top-level <title> contributes no body text
-        # (tests/responses/fragment2.html's chunk text depends on this)
-        if isinstance(node, Element) and node.name in (
-            "title", "meta", "link", "base", "style",
-        ):
-            head.append(node)
-        else:
-            body.append(node)
-    html_el.append(body)
-    return body
 
 
 def stripped_strings(root: Element) -> list[str]:

@@ -5,12 +5,12 @@ heading-block grouping, oversized-section sentence splitting, and the
 
 import re
 
+from tree_chunker import group_heading_by_block, smooth
+
 from louis_crawler_legacy_ray.functions.chunking import (
     MAX_TOKENS,
     MIN_TOKENS,
     chunk_html,
-    group_heading_by_block,
-    smooth,
 )
 from louis_crawler_legacy_ray.functions.dom import parse_html
 from louis_crawler_legacy_ray.functions.tokenizer import Encoder

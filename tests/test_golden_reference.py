@@ -22,12 +22,9 @@ No Ray needed: these are pure-kernel tests.
 import os
 
 import pytest
+from tree_chunker import segment_blocks_into_chunks, smooth
 
-from louis_crawler_legacy_ray.functions.chunking import (
-    chunk_html,
-    segment_blocks_into_chunks,
-    smooth,
-)
+from louis_crawler_legacy_ray.functions.chunking import chunk_html
 from louis_crawler_legacy_ray.functions.dom import parse_html, stripped_strings
 from louis_crawler_legacy_ray.functions.html_kernels import extract_page
 from louis_crawler_legacy_ray.functions.tokenizer import Encoder

@@ -21,15 +21,17 @@ Round r (SURVEY §3.4):
              never loops over URLs.
     finish:  shards quarantine still-in-flight URLs as errored (the
              reference's 404 path, responses.py:30-35,
-             goldie_playwright_parallel.py:831-845); the stats carry
-             each shard's counts as the deliveries left them (the
+             goldie_playwright_parallel.py:831-845) and, when
+             checkpointing, each writes its own state file; the stats
+             carry each shard's counts as the deliveries left them (the
              round's admitted total and pending lag)
-    checkpoint: per-shard parquet dump + lineage manifest + metrics
+    checkpoint: the driver commits the round (lineage manifest last)
+             and appends its metrics row
 
-So a round costs the driver three sequential waves of shard calls:
-take, finish_round, and dump when checkpointing. Between take and
-finish the driver waits on the refs of the round tasks' shard sends,
-so a failed delivery raises instead of going missing.
+So a round costs the driver two sequential waves of shard calls: take
+and finish_round. Between take and finish the driver waits on the
+refs of the round tasks' shard sends, so a failed delivery raises
+instead of going missing.
 
 The reference's production loop is the same shape with a single-process
 seen set and a ProcessPoolExecutor batch barrier
@@ -57,10 +59,12 @@ import ray
 from ..stages.extract import extract_items
 from ..state.checkpoint import (
     append_metrics,
+    begin_round,
     clear_partial,
     latest_complete_round,
     load_checkpoint,
     partial_round,
+    shard_file,
     write_checkpoint,
 )
 from ..state.politeness import RobotsCache
@@ -1667,18 +1671,28 @@ def run_frontier(
                 # sel.total==0 (ADVICE r3)
                 ray.get([s.clear_resume_sel.remote() for s in frontier.shards])
                 fin = salv
+                ckpt_counts = None  # write_checkpoint has the shards write
             else:
-                # end of round, shard-side: quarantine + per-shard order part
+                # end of round, shard-side: quarantine, per-shard order
+                # part and, when checkpointing, the shard's state file
+                ckpt_tmp = (
+                    begin_round(cfg.checkpoint_dir, round_no)
+                    if cfg.checkpoint_dir
+                    else None
+                )
                 fin_refs, part_refs = [], []
-                for s in frontier.shards:
+                for i, s in enumerate(frontier.shards):
                     a, b = s.finish_round.options(num_returns=2).remote(
-                        round_no, order_dir
+                        round_no,
+                        order_dir,
+                        shard_file(ckpt_tmp, i) if ckpt_tmp else None,
                     )
                     fin_refs.append(a)
                     part_refs.append(b)
                 fin = ray.get(fin_refs)
                 if order_dir is None:
                     order_refs.extend(part_refs)
+                ckpt_counts = [f["checkpoint"] for f in fin] if ckpt_tmp else None
             dt = time.perf_counter() - t0
             admitted = stats.get("admitted")
             if admitted is None:
@@ -1708,7 +1722,12 @@ def run_frontier(
             metrics.append(row)
             if cfg.checkpoint_dir:
                 write_checkpoint(
-                    cfg.checkpoint_dir, round_no, frontier.shards, chash, row
+                    cfg.checkpoint_dir,
+                    round_no,
+                    frontier.shards,
+                    chash,
+                    row,
+                    shard_counts=ckpt_counts,
                 )
                 append_metrics(cfg.checkpoint_dir, [row])
                 if attempt:

@@ -17,8 +17,9 @@ export a frontier back out so a migration is reversible.
 
 Scale note: these are single-process text files — the reference's
 format caps out long before 10^10 URLs, so import/export is a
-MIGRATION tool, not a checkpoint path (ours is the per-shard parquet
-checkpoint, state/checkpoint.py). Import partitions the parsed rows
+MIGRATION tool, not a checkpoint path (ours is one parquet file per
+shard and round, written and read by the shard itself,
+state/checkpoint.py). Import partitions the parsed rows
 per shard and ships one Arrow table set per shard; export streams one
 shard dump at a time — the driver holds one shard's slice, never the
 whole crawl.

@@ -1,4 +1,5 @@
-"""Per-round, per-shard Parquet checkpoints with lineage metadata.
+"""Per-round Parquet checkpoints, one file per shard, with lineage
+metadata.
 
 Replaces the reference's append-only scraped/pending/errored files and
 full-file pending rewrites (goldie_playwright_parallel.py:514-645) with
@@ -6,16 +7,24 @@ the layout the north_rule asks for:
 
     ckpt_dir/
       round=000003/
-        shard=0000/<table>.parquet   <- one file per FrontierShard.dump()
-        ...                             table (the shard owns the set)
-        _lineage.json        <- written LAST via temp+rename: the commit
-                                marker {round, config_hash, counts}
+        shard=0000.parquet   <- written BY shard 0, inside its
+        shard=0001.parquet      finish_round call: its whole dump()
+        ...                     table dict as one row (pack_tables)
+        _lineage.json        <- written LAST by the driver via
+                                temp+rename: the commit marker
+                                {round, config_hash, n_shards, counts}
+      round=000004.tmp/      <- the round being written; begin_round
+                                empties it before any shard writes
 
 A round directory without ``_lineage.json`` is incomplete and ignored
-by resume (atomicity). Note: the always-present tables are written even
-when empty (a round with zero errored urls still checkpoints an empty
-errored.parquet) — a completed round is detected by its manifest, never
-by file presence.
+by resume (atomicity); the driver renames ``round=N.tmp`` to
+``round=N`` only after every shard returned its file's row counts.
+The driver never holds shard state: shards write their own files
+(``FrontierShard.finish_round(..., ckpt_path)`` or, on the salvage
+paths, ``FrontierShard.checkpoint``) and read them back
+(``FrontierShard.restore``). This module is the one place that knows
+the file format: :func:`write_shard_state` / :func:`read_shard_state`
+over the ``dump()`` dict.
 """
 
 from __future__ import annotations
@@ -28,9 +37,52 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
+# the lineage counts: row counts of these dump() tables, summed over shards
+_COUNTED = ("seen", "pending", "errored")
 
-def _round_dir(ckpt_dir: str, round_no: int) -> str:
-    return os.path.join(ckpt_dir, f"round={round_no:06d}")
+
+def _round_dir(ckpt_dir: str, round_no: int, partial: bool = False) -> str:
+    return os.path.join(
+        ckpt_dir, f"round={round_no:06d}" + (".partial" if partial else "")
+    )
+
+
+def shard_file(rdir: str, shard_id: int) -> str:
+    return os.path.join(rdir, f"shard={shard_id:04d}.parquet")
+
+
+def begin_round(ckpt_dir: str, round_no: int, partial: bool = False) -> str:
+    """Empty and create the round's ``.tmp`` directory (a stale one
+    from a crashed or wider crawl must not leak into the commit) and
+    return it: the shards write their files there."""
+    tmp = _round_dir(ckpt_dir, round_no, partial) + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    os.makedirs(tmp)
+    return tmp
+
+
+def write_shard_state(path: str, tables: dict[str, pa.Table]) -> dict:
+    """Write one shard's ``dump()`` dict as ONE parquet file: one row,
+    one ``list<struct>`` column per table. One file per shard and round
+    because a parquet write costs mostly per file, not per byte.
+    Returns the lineage row counts."""
+    cols = {}
+    for name, t in tables.items():
+        rows = pa.StructArray.from_arrays(
+            [c.combine_chunks() for c in t.columns], fields=list(t.schema)
+        )
+        cols[name] = pa.ListArray.from_arrays(pa.array([0, len(rows)], pa.int32()), rows)
+    pq.write_table(pa.table(cols), path)
+    return {name: tables[name].num_rows for name in _COUNTED}
+
+
+def read_shard_state(path: str) -> dict[str, pa.Table]:
+    """The ``dump()`` dict a :func:`write_shard_state` file holds."""
+    row = pq.read_table(path)
+    return {
+        name: pa.Table.from_struct_array(row[name].combine_chunks().flatten())
+        for name in row.column_names
+    }
 
 
 def write_checkpoint(
@@ -40,29 +92,31 @@ def write_checkpoint(
     config_hash: str,
     metrics: dict,
     partial_attempt: int | None = None,
+    shard_counts: list[dict] | None = None,
 ) -> str:
-    """Dump every shard's state; commit with _lineage.json last.
+    """Commit a round: sum the shards' row counts, write _lineage.json
+    last, rename the ``.tmp`` directory into place.
+
+    ``shard_counts`` are the counts ``finish_round(..., ckpt_path)``
+    returned: the shards already wrote their files into
+    :func:`begin_round`'s directory. Without them (the salvage paths,
+    where shard state changes after the round call) each shard writes
+    its file now, via ``FrontierShard.checkpoint``.
 
     ``partial_attempt`` marks a MID-ROUND salvage checkpoint (graceful
     SIGTERM): state goes to ``round=N.partial`` — invisible to
     latest_complete_round (the '.' transient filter) but discovered by
     partial_round() — and resume re-runs round N over the salvaged
     pending remainder, tagging its outputs with attempt+1."""
-    final = _round_dir(ckpt_dir, round_no)
-    if partial_attempt is not None:
-        final += ".partial"
+    partial = partial_attempt is not None
+    final = _round_dir(ckpt_dir, round_no, partial)
     tmp = final + ".tmp"
-    shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp, exist_ok=True)
-    dumps = ray.get([s.dump.remote() for s in shards])
-    counts = {"seen": 0, "pending": 0, "errored": 0}
-    for i, tables in enumerate(dumps):
-        sdir = os.path.join(tmp, f"shard={i:04d}")
-        os.makedirs(sdir, exist_ok=True)
-        for name, table in tables.items():
-            pq.write_table(table, os.path.join(sdir, f"{name}.parquet"))
-        for name in counts:
-            counts[name] += tables[name].num_rows
+    if shard_counts is None:
+        begin_round(ckpt_dir, round_no, partial)
+        shard_counts = ray.get(
+            [s.checkpoint.remote(shard_file(tmp, i)) for i, s in enumerate(shards)]
+        )
+    counts = {name: sum(c[name] for c in shard_counts) for name in _COUNTED}
     with open(os.path.join(tmp, "_lineage.json.tmp"), "w") as f:
         json.dump(
             {
@@ -73,7 +127,7 @@ def write_checkpoint(
                 "metrics": metrics,
                 **(
                     {"partial": True, "attempt": partial_attempt}
-                    if partial_attempt is not None
+                    if partial
                     else {}
                 ),
             },
@@ -136,27 +190,28 @@ def partial_round(ckpt_dir: str) -> tuple[int, dict] | None:
 
 def clear_partial(ckpt_dir: str, round_no: int) -> None:
     """Drop a salvage checkpoint once its round has completed for real."""
-    shutil.rmtree(
-        _round_dir(ckpt_dir, round_no) + ".partial", ignore_errors=True
-    )
+    shutil.rmtree(_round_dir(ckpt_dir, round_no, partial=True), ignore_errors=True)
 
 
 def load_checkpoint(
     ckpt_dir: str, round_no: int, shards: list, partial: bool = False
 ) -> None:
-    """Restore every shard from a complete round's dump: every
-    parquet file in a shard dir is one table of its ``load`` dict."""
-    rdir = _round_dir(ckpt_dir, round_no) + (".partial" if partial else "")
-    loads = []
-    for i, shard in enumerate(shards):
-        sdir = os.path.join(rdir, f"shard={i:04d}")
-        tables = {
-            name[: -len(".parquet")]: pq.read_table(os.path.join(sdir, name))
-            for name in os.listdir(sdir)
-            if name.endswith(".parquet")
-        }
-        loads.append(shard.load.remote(tables))
-    ray.get(loads)
+    """Restore every shard from a committed round: each shard reads its
+    own file. A round in the per-table layout (``shard=iiii/``
+    directories) is refused before any shard is touched."""
+    rdir = _round_dir(ckpt_dir, round_no, partial)
+    old = sorted(
+        n for n in os.listdir(rdir)
+        if n.startswith("shard=") and os.path.isdir(os.path.join(rdir, n))
+    )
+    if old:
+        raise ValueError(
+            f"checkpoint {rdir} holds per-table shard directories "
+            f"({old[0]}/...): that layout was replaced by one "
+            "shard=iiii.parquet file per shard; it cannot be resumed "
+            "(start a new crawl in a fresh checkpoint_dir)"
+        )
+    ray.get([s.restore.remote(shard_file(rdir, i)) for i, s in enumerate(shards)])
 
 
 def append_metrics(ckpt_dir: str, rows: list[dict]) -> None:

@@ -34,15 +34,17 @@ enqueue/take semantics, :606-664):
                           retry slot); the round's order part is
                           emitted; the stats carry the shard's counts
 
-So the driver meets each shard once per step of a round: take,
-finish_round and (with checkpointing) dump. The round tasks'
-``record_fetched`` / ``enqueue`` calls reach the shards directly; the
-driver waits on their refs, not on shard-side counters.
+So the driver meets each shard twice per round: take and
+finish_round, which also writes the shard's checkpoint file when the
+crawl checkpoints. The round tasks' ``record_fetched`` / ``enqueue``
+calls reach the shards directly; the driver waits on their refs, not
+on shard-side counters.
 
 A shard is built from the crawl's ``CrawlConfig`` (its
 ``priority_scores`` cut to this shard's slice) and reads every budget,
 limit, priority and retry setting from it. ``dump()`` / ``load()`` are
-the checkpoint format: the table set, keyed by parquet file stem.
+the shard's table set; ``checkpoint(path)`` / ``restore(path)`` write
+and read it as one file (the format lives in state/checkpoint.py).
 
 Memory modes:
   * ``exact``  — Python sets of URL strings (test scale; the semantics
@@ -72,6 +74,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from .checkpoint import read_shard_state, write_shard_state
 
 if TYPE_CHECKING:
     from ..pipelines.crawl import CrawlConfig
@@ -823,10 +827,17 @@ class FrontierShard:
         os.replace(tmp, os.path.join(part, name))
         return ok.schema.empty_table()
 
-    def finish_round(self, round_no: int, order_dir: str | None = None):
+    def finish_round(
+        self,
+        round_no: int,
+        order_dir: str | None = None,
+        ckpt_path: str | None = None,
+    ):
         """End-of-round, shard-side: quarantine still-in-flight URLs as
-        errored (the reference's 404 path) and emit THIS shard's slice
-        of the crawl order — the selection minus the failed rows.
+        errored (the reference's 404 path), emit THIS shard's slice
+        of the crawl order — the selection minus the failed rows — and,
+        given ``ckpt_path``, write the shard's checkpoint file there
+        (stats["checkpoint"]: its row counts, see :meth:`checkpoint`).
         Called with num_returns=2: the driver ray.gets only the small
         stats dict, which carries this shard's ``counts()`` as the
         round's deliveries left them, taken before anything is
@@ -877,6 +888,8 @@ class FrontierShard:
             "retried": len(failed) - len(errored),
             "counts": counts,
         }
+        if ckpt_path is not None:
+            stats["checkpoint"] = self.checkpoint(ckpt_path)
         name = f"shard-{self.shard_id:04d}.parquet"
         return stats, self._order_part(round_no, urls, depths, order_dir, name)
 
@@ -966,8 +979,19 @@ class FrontierShard:
             "retrying": len(self.retrying),
         }
 
+    def checkpoint(self, path: str) -> dict:
+        """Write this shard's ``dump()`` as its one checkpoint file;
+        returns the file's seen/pending/errored row counts. The salvage
+        paths call it directly; a normal round writes through
+        finish_round."""
+        return write_shard_state(path, self.dump())
+
+    def restore(self, path: str) -> None:
+        """``load`` this shard's checkpoint file (load_checkpoint)."""
+        self.load(read_shard_state(path))
+
     def dump(self) -> dict[str, pa.Table]:
-        """The shard's checkpoint tables, keyed by parquet file stem:
+        """The shard's checkpoint tables, keyed by table name:
         seen, pending, errored and host_tokens always; retries,
         backlinks and cash only when non-empty; resume_sel only after a
         salvage (an EMPTY resume_sel is meaningful — see load)."""

@@ -49,7 +49,9 @@ def test_incomplete_round_ignored(ray_session, tmp_path):
 
 
 def test_lineage_json_is_last_write(ray_session, tmp_path):
-    """The commit marker lands only after all shard dumps exist."""
+    """The commit marker lands only after all shard files exist: each
+    committed round is _lineage.json plus one shard=iiii.parquet per
+    shard, nothing else."""
     import pyarrow as pa
 
     from louis_crawler_legacy_ray.pipelines.crawl import (
@@ -71,10 +73,9 @@ def test_lineage_json_is_last_write(ray_session, tmp_path):
         rdir = os.path.join(ck, name)
         with open(os.path.join(rdir, "_lineage.json")) as f:
             lin = json.load(f)
-        for i in range(lin["n_shards"]):
-            sdir = os.path.join(rdir, f"shard={i:04d}")
-            for t in ("seen", "pending", "errored"):
-                assert os.path.exists(os.path.join(sdir, f"{t}.parquet"))
+        assert sorted(os.listdir(rdir)) == ["_lineage.json"] + [
+            f"shard={i:04d}.parquet" for i in range(lin["n_shards"])
+        ]
 
 
 def test_resume_refuses_mismatched_config(ray_session, tmp_path):
@@ -109,10 +110,11 @@ def test_resume_refuses_mismatched_config(ray_session, tmp_path):
 def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     """write_checkpoint -> load_checkpoint into fresh shards -> dump()
     gives back equal tables for a shard holding every kind of state,
-    and each shard dir holds exactly its dump's tables: the four
+    and each shard's file holds exactly its dump's tables: the four
     always-present ones, plus retries / backlinks / cash only when
     non-empty and resume_sel only after a salvage."""
     import pyarrow as pa
+    import pyarrow.parquet as pq
     import ray
 
     from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig
@@ -179,8 +181,8 @@ def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     rdir = write_checkpoint(ck, 2, [full, empty], "h", {}, partial_attempt=0)
     base = {"seen", "pending", "errored", "host_tokens"}
     for i, extra in enumerate(({"retries", "cash", "resume_sel"}, set())):
-        names = os.listdir(os.path.join(rdir, f"shard={i:04d}"))
-        assert sorted(names) == sorted(f"{n}.parquet" for n in base | extra)
+        names = pq.read_schema(os.path.join(rdir, f"shard={i:04d}.parquet")).names
+        assert sorted(names) == sorted(base | extra)
 
     fresh = [FrontierShard.remote(i, cfg) for i in range(2)]
     load_checkpoint(ck, 2, fresh, partial=True)

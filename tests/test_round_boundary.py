@@ -1,7 +1,8 @@
 """The round boundary: ``take`` and ``finish_round`` hand the driver the
-selection and the shard counts in the call that made them, so a round
-costs one wave per step (take, finish_round, dump). Pins the wave
-count, the ``round_limit`` truncation over a bucketed corpus (where
+selection and the shard counts in the call that made them, and shards
+write their own checkpoint files inside ``finish_round``, so a round
+costs two waves (take, finish_round). Pins the wave count, the
+``round_limit`` truncation over a bucketed corpus (where
 ``truncate_selection`` rebuilds the part), and a page html.parser or
 urllib.parse rejects taking the failed-fetch path."""
 
@@ -17,6 +18,7 @@ from louis_crawler_legacy_ray.sources.pages import (
     synth_documents,
     write_pages_parquet,
 )
+from louis_crawler_legacy_ray.state.checkpoint import latest_complete_round
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +67,9 @@ def test_round_limit_bucketed_matches_flat(ray_session, corpora, n_shards):
 
 def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
     """Driver-side shard calls per round and shard: take 1, finish_round
-    1, dump 1 (checkpointing), no selection_part; ``counts`` only once at
-    the end for CrawlResult.counts."""
+    1, no selection_part; a checkpointed crawl makes no dump / load
+    call (shards write their own files inside finish_round);
+    ``counts`` only once at the end for CrawlResult.counts."""
     import ray.actor
 
     flat, _bucketed, seed = corpora
@@ -104,7 +107,9 @@ def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
     # the crawl ends on an empty take, one wave past the last round
     assert n_calls("take") == n * (rounds + 1)
     assert n_calls("finish_round") == n * rounds
-    assert n_calls("dump") == n * rounds
+    assert n_calls("dump") == n_calls("load") == 0
+    assert n_calls("checkpoint") == n_calls("restore") == 0
+    assert latest_complete_round(cfg.checkpoint_dir) == rounds - 1
     assert n_calls("selection_part") == 0
     assert n_calls("truncate_selection") == n_calls("sel_sample") == 0
     # counts: only the one final Frontier.counts() — the round waits on

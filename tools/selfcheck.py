@@ -3,15 +3,24 @@ queries() entry AND its oracle_sql() on the same sf_dir, compare
 row-count, column names, and an order-insensitive value hash (columns
 sorted by name, rows sorted by all columns, values stringified).
 
+Each batch of BATCH names runs in its own child process (one Ray
+session per child): a child that dies (a Ray abort takes the whole
+process) costs only the query it was running, which is reported as
+FAIL with the child's stderr tail, and the rest run in a new child.
+The summary always prints; any failure exits 1.
+
 Usage:
-    python tools/selfcheck.py [--sf /root/testdata/sf0.001] [names...]
+    python tools/selfcheck.py [--sf SF_DIR] [--oracled] [names...]
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import subprocess
 import sys
+import tempfile
 
 import duckdb
 import pandas as pd
@@ -19,6 +28,12 @@ import pandas as pd
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
 ).split()
+
+# the checkout this file belongs to (not whichever one is installed)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# query names per child process: a Ray start is paid once per batch
+BATCH = 24
+_RESULT = ("OK   ", "ok   ", "FAIL ")
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -74,6 +89,77 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+def _catalog():
+    sys.path.insert(0, REPO)
+    import __ray_entry__ as entrymod
+
+    return entrymod.queries(), entrymod.oracle_sql()
+
+
+def run_batch(sf: str, names: list[str]) -> None:
+    """Child side: check ``names`` in one Ray session, one result line
+    per name, in order, flushed as it lands."""
+    import ray
+
+    ray.init(
+        address="local",
+        num_cpus=8,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+    )
+    from ray.data import DataContext
+
+    DataContext.get_current().enable_progress_bars = False
+    queries, oracles = _catalog()
+    con = duckdb.connect()
+    for t in TABLES:
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+    for name in names:
+        print(check(name, sf, queries, oracles, con), flush=True)
+    ray.shutdown()
+
+
+def check(name: str, sf: str, queries: dict, oracles: dict, con) -> str:
+    """One query against its oracle, as a result line."""
+    try:
+        ray_df = to_pandas(queries[name](sf))
+    except Exception as e:  # noqa: BLE001
+        return f"FAIL {name}: query raised {type(e).__name__}: {e}"
+    if name not in oracles:
+        return f"ok   {name}: rows={len(ray_df)} (rows-only, no oracle)"
+    try:
+        sql_df = con.sql(oracles[name]).df()
+    except Exception as e:  # noqa: BLE001
+        return f"FAIL {name}: oracle raised {type(e).__name__}: {e}"
+    problems = compare(name, ray_df, sql_df)
+    if problems:
+        return f"FAIL {name}: " + "; ".join(problems)
+    return f"OK   {name}: rows={len(ray_df)} hash match"
+
+
+def _run_child(sf: str, names: list[str]) -> tuple[list[str], int, str]:
+    """Run one batch in a child, echoing its output; returns the result
+    lines it printed (in ``names`` order), its exit code and its
+    stderr tail."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", "--sf", sf, *names]
+    results: list[str] = []
+    with tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=err, text=True, cwd=REPO
+        )
+        for line in proc.stdout:
+            line = line.rstrip("\n")
+            print(line, flush=True)
+            nxt = names[len(results)] if len(results) < len(names) else None
+            if line.startswith(_RESULT) and line.split()[1] == f"{nxt}:":
+                results.append(line)
+        rc = proc.wait()
+        err.seek(0)
+        tail = "".join(err.readlines()[-20:])
+    return results, rc, tail
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.001")
@@ -82,65 +168,41 @@ def main() -> int:
         action="store_true",
         help="run every query that HAS an oracle (the full exact gate)",
     )
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("names", nargs="*")
     args = ap.parse_args()
+    if args.child:
+        run_batch(args.sf, args.names)
+        return 0
 
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=8,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as entrymod
-
-    queries = entrymod.queries()
-    oracles = entrymod.oracle_sql()
-
-    con = duckdb.connect()
-    for t in TABLES:
-        con.sql(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{args.sf}/{t}.parquet')"
-        )
-
+    queries, oracles = _catalog()
     if args.oracled:
         names = [n for n in queries if n in oracles] + (args.names or [])
     else:
         names = args.names or list(queries)
-    n_fail = 0
-    for name in names:
-        fn = queries[name]
-        try:
-            ray_df = to_pandas(fn(args.sf))
-        except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
-            n_fail += 1
-            continue
-        if name not in oracles:
-            print(f"ok   {name}: rows={len(ray_df)} (rows-only, no oracle)")
-            continue
-        try:
-            sql_df = con.sql(oracles[name]).df()
-        except Exception as e:  # noqa: BLE001
-            print(f"FAIL {name}: oracle raised {type(e).__name__}: {e}")
-            n_fail += 1
-            continue
-        problems = compare(name, ray_df, sql_df)
-        if problems:
-            print(f"FAIL {name}: " + "; ".join(problems))
-            n_fail += 1
-        else:
-            print(f"OK   {name}: rows={len(ray_df)} hash match")
-    ray.shutdown()
-    return 1 if n_fail else 0
+    failed: list[str] = []
+    todo = list(names)
+    while todo:
+        batch, todo = todo[:BATCH], todo[BATCH:]
+        results, rc, tail = _run_child(args.sf, batch)
+        failed += [ln.split()[1][:-1] for ln in results if ln.startswith("FAIL")]
+        if len(results) < len(batch):
+            # the child died inside batch[len(results)]: that query
+            # fails, the rest of the batch goes to a new child
+            dead = batch[len(results)]
+            print(
+                f"FAIL {dead}: child process exited {rc} while running it; "
+                f"stderr tail:\n{tail}",
+                flush=True,
+            )
+            failed.append(dead)
+            todo = batch[len(results) + 1 :] + todo
+    print(
+        f"summary: {len(names) - len(failed)}/{len(names)} passed"
+        + (f"; FAIL: {' '.join(failed)}" if failed else ""),
+        flush=True,
+    )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -328,6 +328,17 @@ def parse_html_stdlib(html: str) -> Element:
 # no tree at all).  A marked section ("<![" where markup starts) and any
 # input that raises go through stdlib html.parser into a fresh sink
 # instead (see feed).
+#
+# The pass is a scan: one anchored _SCAN.match at the current position
+# reads a text run and the simple start or end tag after it, and
+# emits both; a tag with at most one attribute is parsed from the
+# match's own groups.  Where the scan stops at a '<' that no simple
+# form takes — a comment, doctype, '<?', '<![', an unquoted or
+# single-quoted attribute, junk, a tag cut off by EOF, a lone '<' —
+# the per-token code below handles that one token (html.parser's
+# rules) and the scan resumes after it.  <script>/<style> raw text is
+# read by its own close-tag search.  The match is never a search: a
+# search for the next tag would rescan a long '<'-free tail per token.
 # ---------------------------------------------------------------------------
 
 import re as _re
@@ -356,20 +367,27 @@ _LOCATE_START = _re.compile(
 """,
     _re.VERBOSE,
 )
-# fast path for the overwhelmingly common start tag: a plain name and
-# only name="value" attributes, ASCII whitespace between them (<p>,
-# <a href="…">, …). Its parse is the stdlib's: a name stops where
-# tagfind stops, and a double-quoted value is taken whole.
-_SIMPLE_START = _re.compile(
-    r'<([a-zA-Z][a-zA-Z0-9-]*)'
-    r'((?:[ \t\n\r\f]+[a-zA-Z_:][-a-zA-Z0-9_:.]*="[^"]*")*)[ \t\n\r\f]*>'
+# _SCAN's simple start tag is a plain name and only name="value"
+# attributes, ASCII whitespace between them (<p>, <a href="…">, …); its
+# parse is the stdlib's: a name stops where tagfind stops, and a
+# double-quoted value is taken whole. The first attribute has its own
+# groups; only a tag with two or more runs _SIMPLE_ATTR over the rest.
+# Its simple end tag is html.parser's endtagfind. When neither form
+# takes the '<', or no '<' is left, the match ends after the text run.
+_SIMPLE_NAME = r"[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+_SCAN = _re.compile(
+    r'([^<]*)(?:<(?:'
+    r'([a-zA-Z][a-zA-Z0-9-]*)'
+    r'(?:[ \t\n\r\f]+(' + _SIMPLE_NAME + r')="([^"]*)"'
+    r'((?:[ \t\n\r\f]+' + _SIMPLE_NAME + r'="[^"]*")*))?'
+    r'[ \t\n\r\f]*>'
+    r'|/\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>'
+    r'))?'
 )
-_SIMPLE_ATTR = _re.compile(r'([a-zA-Z_:][-a-zA-Z0-9_:.]*)="([^"]*)"')
-_ENDTAGFIND = _re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_SIMPLE_ATTR = _re.compile(r'(' + _SIMPLE_NAME + r')="([^"]*)"')
 _CDATA_CLOSE = {
     t: _re.compile(r"</\s*%s\s*>" % t, _re.I) for t in RAW_TEXT_TAGS
 }
-_STARTTAG_OPEN = _re.compile("<[a-zA-Z]")
 _COMMENT_CLOSE = _re.compile(r"--\s*>")
 
 
@@ -381,6 +399,7 @@ def _fast_tokenize(s: str, sink) -> None:
     n = len(s)
     i = 0
     start, end, data, comment = sink.start, sink.end, sink.data, sink.comment
+    scan = _SCAN.match
     cdata_elem: str | None = None
     while i < n:
         if cdata_elem is not None:
@@ -393,32 +412,35 @@ def _fast_tokenize(s: str, sink) -> None:
             cdata_elem = None
             i = m.end()
             continue
-        j = s.find("<", i)
-        if j < 0:
-            j = n
-        if i < j:
-            text = s[i:j]
+        m = scan(s, i)
+        text, tag, aname, aval, more, etag = m.groups()
+        if text:
             data(_unescape(text) if "&" in text else text)
-        if j == n:
+        if tag is not None:  # simple start tag
+            tag = tag.lower()
+            attrs = {}
+            if aname is not None:
+                attrs[aname.lower()] = _unescape(aval) if "&" in aval else aval
+                if more:
+                    for aname, aval in _SIMPLE_ATTR.findall(more):
+                        attrs[aname.lower()] = _unescape(aval) if "&" in aval else aval
+            start(tag, attrs, False)
+            if tag in RAW_TEXT_TAGS:
+                cdata_elem = tag
+            i = m.end()
+            continue
+        if etag is not None:  # simple end tag
+            end(etag.lower())
+            i = m.end()
+            continue
+        i = m.end()
+        if i == n:
             return
-        i = j
+        # ---- one token no simple form takes, then back to the scan ----
         nc = s[i + 1 : i + 2]
         k = -1
         if nc and (("a" <= nc <= "z") or ("A" <= nc <= "Z")):
             # ---- start tag (mirrors parse_starttag) ----
-            sm = _SIMPLE_START.match(s, i)
-            if sm is not None:  # simple tag: skip the locate + attr scan
-                tag, araw = sm.groups()
-                tag = tag.lower()
-                attrs = {}
-                if araw:
-                    for aname, aval in _SIMPLE_ATTR.findall(araw):
-                        attrs[aname.lower()] = _unescape(aval) if "&" in aval else aval
-                start(tag, attrs, False)
-                if tag in RAW_TEXT_TAGS:
-                    cdata_elem = tag
-                i = sm.end()
-                continue
             lm = _LOCATE_START.match(s, i)
             j2 = lm.end()
             nxt = s[j2 : j2 + 1]
@@ -438,7 +460,7 @@ def _fast_tokenize(s: str, sink) -> None:
                 tm = _TAGFIND.match(s, i + 1)
                 tag = tm.group(1).lower()
                 kpos = tm.end()
-                attrs: dict = {}
+                attrs = {}
                 while kpos < endpos:
                     am = _ATTRFIND.match(s, kpos)
                     if am is None:
@@ -463,30 +485,22 @@ def _fast_tokenize(s: str, sink) -> None:
                     data(s[i:endpos])  # junk in tag: emitted raw (stdlib)
                 k = endpos
         elif nc == "/":
-            # ---- end tag (mirrors parse_endtag) ----
-            em = _ENDTAGFIND.match(s, i)
-            if em is not None:
-                end(em.group(1).lower())
-                k = em.end()
-            else:
-                gt = s.find(">", i + 1)
-                if gt < 0:
-                    k = -1
+            # ---- end tag the scan did not take (mirrors parse_endtag) ----
+            gt = s.find(">", i + 1)
+            if gt >= 0:
+                nm = _TAGFIND.match(s, i + 2)
+                if nm is None:
+                    if s[i : i + 3] == "</>":
+                        k = i + 3
+                    else:  # bogus comment
+                        comment(s[i + 2 : gt])
+                        k = gt + 1
                 else:
-                    gtpos = gt + 1
-                    nm = _TAGFIND.match(s, i + 2)
-                    if nm is None:
-                        if s[i : i + 3] == "</>":
-                            k = i + 3
-                        else:  # bogus comment
-                            comment(s[i + 2 : gt])
-                            k = gtpos
-                    else:
-                        g2 = s.find(">", nm.end())
-                        end(nm.group(1).lower())
-                        k = g2 + 1  # stdlib quirk: g2 may be -1 -> k=0
-                        if k <= i:
-                            return  # stdlib would loop on stale rawdata
+                    g2 = s.find(">", nm.end())
+                    end(nm.group(1).lower())
+                    k = g2 + 1  # stdlib quirk: g2 may be -1 -> k=0
+                    if k <= i:
+                        return  # stdlib would loop on stale rawdata
         elif s.startswith("<!--", i):
             m = _COMMENT_CLOSE.search(s, i + 4)
             if m is None:

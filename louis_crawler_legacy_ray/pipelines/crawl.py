@@ -56,7 +56,7 @@ import pyarrow.compute as pc
 # needing it
 import ray
 
-from ..stages.extract import extract_items
+from ..stages.extract import extract_items, html_strs
 from ..state.checkpoint import (
     append_metrics,
     begin_round,
@@ -960,10 +960,10 @@ class _CorpusPages:
         # ONE index_in over the group's concatenated url column (the
         # 200k-string value-set hash index was measured to dominate the
         # filter phase when built per block per kernel); its validity is
-        # the semi-join mask. The html payload is never filter-copied:
-        # selected strings are pulled straight out of the pinned plasma
-        # buffers by index (one Arrow→str copy; a filter copy plus
-        # to_pylist double-passed the 28KB payloads and was measured 2.3×
+        # the semi-join mask. The html payload is never filter-copied or
+        # taken: html_strs pulls the hit rows straight out of the pinned
+        # plasma buffers, one block→str copy per page (take + to_pylist
+        # + decode copy a 28 KB page three times and measured 2.5–5×
         # slower — memory-bus traffic is the per-node scaling ceiling)
         url_arrs = [
             p["url"].combine_chunks() if isinstance(p["url"], pa.ChunkedArray) else p["url"]
@@ -979,25 +979,11 @@ class _CorpusPages:
         codes = pc.fill_null(code, 0).to_numpy(zero_copy_only=False)[idx_np]
         hit_htmls: list = []
         off = 0
-        dense = idx_np.size * 4 >= len(urls_all)
         for p, ua in zip(parts, url_arrs):
             n = len(ua)
             loc = idx_np[(idx_np >= off) & (idx_np < off + n)] - off
             if loc.size:
-                col = p["html"]
-                if dense:
-                    # bulk C-loop conversion wins when most rows are hits
-                    hit_htmls.extend(col.take(pa.array(loc)).to_pylist())
-                else:
-                    # sparse: per-index scalar copy straight from the pinned
-                    # plasma buffer; never combine_chunks here (it would
-                    # copy the part's whole html column to read a few rows)
-                    arr = (
-                        col.chunk(0)
-                        if isinstance(col, pa.ChunkedArray) and col.num_chunks == 1
-                        else col
-                    )
-                    hit_htmls.extend(arr[int(i)].as_py() for i in loc)
+                hit_htmls.extend(html_strs(p["html"], loc))
             off += n
         return hit_urls, hit_htmls, codes
 
@@ -1021,7 +1007,7 @@ class _FetchedPages:
         idx = pc.index_in(got["url"], value_set=sel_urls).to_pylist()
         urls, htmls, sel_index = [], [], []
         taken: set = set()
-        for u, h, i in zip(got["url"].to_pylist(), got["html"].to_pylist(), idx):
+        for u, h, i in zip(got["url"].to_pylist(), html_strs(got["html"]), idx):
             if i is None or i in taken:
                 continue
             taken.add(i)
@@ -1492,6 +1478,22 @@ class CrawlResult:
                 [("round", "ascending"), ("depth", "ascending"), ("url", "ascending")]
             )
         return self._order_cache
+
+    def metrics_table(self) -> pa.Table:
+        """The per-round counters of ``metrics``, one int64 column each."""
+        return pa.table(
+            {
+                c: pa.array([m[c] for m in self.metrics], pa.int64())
+                for c in (
+                    "round",
+                    "selected",
+                    "fetched",
+                    "errored",
+                    "new_candidates",
+                    "pending_lag",
+                )
+            }
+        )
 
     def order_dataset(self) -> "ray.data.Dataset":
         """Streaming reader over the order parts (the 10^10-URL path)."""

@@ -1134,20 +1134,7 @@ def q_crawl_metrics(sf_dir: str):
     seed = _site_seed(sf_dir)
     cfg = CrawlConfig(n_shards=4, max_depth=6, max_rounds=16)
     res = run_crawl(pages_corpus_dir(sf_dir), [seed], cfg)
-    return pa.table(
-        {
-            "round": pa.array([m["round"] for m in res.metrics], pa.int64()),
-            "selected": pa.array([m["selected"] for m in res.metrics], pa.int64()),
-            "fetched": pa.array([m["fetched"] for m in res.metrics], pa.int64()),
-            "errored": pa.array([m["errored"] for m in res.metrics], pa.int64()),
-            "new_candidates": pa.array(
-                [m["new_candidates"] for m in res.metrics], pa.int64()
-            ),
-            "pending_lag": pa.array(
-                [m["pending_lag"] for m in res.metrics], pa.int64()
-            ),
-        }
-    )
+    return res.metrics_table()
 
 
 SQL_CRAWL_METRICS = (
@@ -1878,20 +1865,7 @@ def q_crawl_metrics_budget(sf_dir: str):
         politeness="token_bucket",
     )
     res = run_crawl(multihost_corpus_dir(sf_dir), [_mh_seed(sf_dir)], cfg)
-    return pa.table(
-        {
-            "round": pa.array([m["round"] for m in res.metrics], pa.int64()),
-            "selected": pa.array([m["selected"] for m in res.metrics], pa.int64()),
-            "fetched": pa.array([m["fetched"] for m in res.metrics], pa.int64()),
-            "errored": pa.array([m["errored"] for m in res.metrics], pa.int64()),
-            "new_candidates": pa.array(
-                [m["new_candidates"] for m in res.metrics], pa.int64()
-            ),
-            "pending_lag": pa.array(
-                [m["pending_lag"] for m in res.metrics], pa.int64()
-            ),
-        }
-    )
+    return res.metrics_table()
 
 
 def q_crawl_delay_budget(sf_dir: str):

@@ -53,13 +53,67 @@ def extract_batch(
     ``profile`` picks the cleaning profile (``extract_page``'s option).
     """
     urls = batch["url"].to_pylist()
-    htmls = batch["html"].to_pylist()
+    htmls = html_strs(batch["html"])
     depths = (
         batch["depth"].to_pylist()
         if "depth" in batch.column_names
         else [0] * len(urls)
     )
     return extract_items(urls, htmls, depths, now_us, allowed_domains, profile)
+
+
+def html_strs(col, rows=None) -> list:
+    """The values of a pages ``html`` column (binary, large_binary or
+    string; an Array or a ChunkedArray) at ``rows`` (int indices, all
+    rows when None) as ``str``, copied once: a binary buffer is viewed
+    as string (no copy, no validation), and each contiguous run of rows
+    is a zero-copy slice whose ``to_pylist`` decodes strict UTF-8
+    straight into str. ``take`` would copy the rows first, and a
+    bytes result would be copied again by ``decode``. A run with bytes
+    that are not UTF-8 goes row by row, and only a row the strict
+    decoder rejects is decoded with ``errors="replace"``."""
+    import numpy as np
+
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+    if isinstance(col, pa.ChunkedArray):
+        out: list = []
+        off = 0
+        for c in col.chunks:
+            n = len(c)
+            if rows is None:
+                out.extend(html_strs(c))
+            else:
+                loc = rows[(rows >= off) & (rows < off + n)] - off
+                if loc.size:
+                    out.extend(html_strs(c, loc))
+            off += n
+        return out
+    if pa.types.is_binary(col.type):
+        sv = col.view(pa.string())
+    elif pa.types.is_large_binary(col.type):
+        sv = col.view(pa.large_string())
+    else:
+        sv = col
+    if rows is None:
+        runs = [(0, len(col))]
+    else:
+        cut = np.flatnonzero(np.diff(rows) != 1) + 1
+        runs = [
+            (int(rows[a]), int(b - a))
+            for a, b in zip(np.r_[0, cut], np.r_[cut, rows.size])
+        ]
+    out = []
+    for lo, cnt in runs:
+        try:
+            out.extend(sv.slice(lo, cnt).to_pylist())
+        except UnicodeDecodeError:
+            for r in range(lo, lo + cnt):
+                try:
+                    out.append(sv[r].as_py())
+                except UnicodeDecodeError:
+                    out.append(col[r].as_py().decode("utf-8", errors="replace"))
+    return out
 
 
 def extract_items(
@@ -73,9 +127,9 @@ def extract_items(
 ) -> pa.Table:
     """Core of extract_batch over plain Python lists — lets callers that
     already hold row-selected strings (the round task's corpus source
-    picks html values straight out of the pinned corpus block by index,
-    one Arrow→str copy instead of a filter copy plus to_pylist) skip the
-    table detour.
+    pulls html values straight out of the pinned corpus block with
+    :func:`html_strs`, one Arrow→str copy) skip the table detour.
+    ``htmls`` are ``str`` (:func:`html_strs` of the html column).
 
     A page html.parser rejects (:class:`MarkupRejected`), or one with
     an href ``urllib.parse`` cannot split (``ValueError``, e.g.
@@ -100,8 +154,6 @@ def extract_items(
     }
     kept: list[int] = []
     for i, (url, html, depth) in enumerate(zip(urls, htmls, depths)):
-        if isinstance(html, bytes):
-            html = html.decode("utf-8", errors="replace")
         try:
             rec = extract_page(
                 url, html, now=now_us, allowed_domains=allowed_domains, profile=profile

@@ -2,6 +2,7 @@
 the round tasks themselves."""
 
 import glob
+import os
 
 import pyarrow.parquet as pq
 import pytest
@@ -13,6 +14,9 @@ from louis_crawler_legacy_ray.sources.pages import (
     synth_documents,
     write_pages_parquet,
 )
+
+# the checkout this file belongs to: its crawl_job.py runs its own tree
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("fanout", ["tasks"])
@@ -138,12 +142,12 @@ def test_crawl_job_entrypoint(tmp_path):
     import os
 
     env = dict(os.environ, RAY_ADDRESS="local")
-    r = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd="/root/repo")
+    r = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=REPO)
     assert r.returncode == 0, r.stderr[-2000:]
     summary = json.loads(r.stdout.strip().splitlines()[-1])
     assert summary["fetched"] > 0 and summary["rounds"] >= 2
     # resume from the finished checkpoint: nothing left to do
-    r2 = subprocess.run(cmd + ["--resume"], capture_output=True, text=True, env=env, cwd="/root/repo")
+    r2 = subprocess.run(cmd + ["--resume"], capture_output=True, text=True, env=env, cwd=REPO)
     assert r2.returncode == 0, r2.stderr[-2000:]
     s2 = json.loads(r2.stdout.strip().splitlines()[-1])
     assert s2["fetched"] == summary["fetched"]
@@ -196,7 +200,7 @@ def test_crawl_job_policy_flags(tmp_path):
             "--max-depth", "3", "--obey-robots", "--honor-crawl-delay",
             "--deny-pattern", r"/cal\?", "--follow-redirects",
         ],
-        capture_output=True, text=True, env=env, cwd="/root/repo",
+        capture_output=True, text=True, env=env, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     summary = json.loads(r.stdout.strip().splitlines()[-1])

@@ -14,6 +14,8 @@ from louis_crawler_legacy_ray.functions.dom import (
     Comment,
     Element,
     Text,
+    _fast_tokenize,
+    _TreeBuilder,
     parse_html,
     parse_html_stdlib,
     stripped_strings,
@@ -111,12 +113,47 @@ ADVERSARIAL = [
     "x</p att='unclosed",
     "<svg><use xlink:href='#i'/></svg>",
     "<p data-x='1' DATA-Y=2>d</p>",
+    # where the scan leaves the fast path and comes back to it
+    "text ending in a lone <",
+    "<p>x</p><",
+    '<p class="a"><!-- c -->after',
+    '<div id="d"><!DOCTYPE html>after',
+    '<p class="a"><![CDATA[x]]>after',
+    '<a href="/x"><script>if (a<b) s = "</p>";</script>after',
+    '<p><style media="m">p > a {}</style></p>',
+    "<DIV>zero</DIV>",
+    '<A HREF="/one">one</A>',
+    '<p ID="a" Class="b" data-X="c" e="">two plus</P>',
+    '<a href="?a=1&amp;b=2&c=3" title="x &lt; y">amp</a>',
+    '<p a="1" b="&amp;&gt;" c="&#65;">amp in the rest</p>',
+    '<p a="1" b=\'2\'>single-quoted second</p>',
+    '<p a="1" b=2>bare second</p>',
+    '<p a="1" b>valueless second</p>',
+    '<p a="1"/>self-closed',
+    "</DIV >upper end</ Div>",
+    "no markup at all &amp; only text\nover two lines",
+    "<p>tail</p>" + "1 MB of text " * 80_000,
+    "<" * 50_000,
+    "<p>" + "x < y " * 50_000,
 ]
 
 
 def test_adversarial_parity():
     for html in ADVERSARIAL:
         assert_parity(html)
+
+
+def test_adversarial_fast_pass_parity():
+    """The fast pass itself, with no html.parser fallback behind it,
+    builds the stdlib tree on every case without a marked section."""
+    for html in ADVERSARIAL:
+        if "<![" in html:
+            continue
+        sink = _TreeBuilder()
+        _fast_tokenize(html, sink)
+        ref = parse_html_stdlib(html)
+        assert _shape(sink.root) == _shape(ref), html[:200]
+        assert sink.root.to_html() == ref.to_html()
 
 
 def test_reference_fixture_parity():

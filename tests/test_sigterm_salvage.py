@@ -24,6 +24,8 @@ from louis_crawler_legacy_ray.sources.pages import (
 )
 
 ENV = dict(os.environ, RAY_ADDRESS="local")
+# the checkout this file belongs to: its crawl_job.py runs its own tree
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _corpus(tmp_path):
@@ -60,7 +62,7 @@ def test_sigterm_midround_salvage_and_resume(tmp_path):
     ref_ckpt = str(tmp_path / "ckpt_ref")
     r = subprocess.run(
         _cmd(d, seed, ref_ckpt), capture_output=True, text=True,
-        env=ENV, cwd="/root/repo",
+        env=ENV, cwd=REPO,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     ref_summary = json.loads(r.stdout.strip().splitlines()[-1])
@@ -77,7 +79,7 @@ def test_sigterm_midround_salvage_and_resume(tmp_path):
         proc = subprocess.Popen(
             _cmd(d, seed, ckpt, ("--task-delay-ms", "250")),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=ENV, cwd="/root/repo",
+            env=ENV, cwd=REPO,
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
@@ -107,7 +109,7 @@ def test_sigterm_midround_salvage_and_resume(tmp_path):
     # resume (no injected delay): finishes the crawl
     r2 = subprocess.run(
         _cmd(d, seed, ckpt, ("--resume",)), capture_output=True, text=True,
-        env=ENV, cwd="/root/repo",
+        env=ENV, cwd=REPO,
     )
     assert r2.returncode == 0, r2.stderr[-2000:]
     s2 = json.loads(r2.stdout.strip().splitlines()[-1])

@@ -160,6 +160,28 @@ def _run_child(sf: str, names: list[str]) -> tuple[list[str], int, str]:
     return results, rc, tail
 
 
+def run_batches(sf: str, names: list[str]) -> dict[str, str]:
+    """Check ``names`` in child processes of BATCH names each; returns
+    each name's result line. A child that dies inside a query fails that
+    query, with the child's stderr tail in its line, and the rest of
+    the batch goes to a new child."""
+    lines: dict[str, str] = {}
+    todo = list(names)
+    while todo:
+        batch, todo = todo[:BATCH], todo[BATCH:]
+        results, rc, tail = _run_child(sf, batch)
+        lines.update(zip(batch, results))
+        if len(results) < len(batch):
+            dead = batch[len(results)]
+            lines[dead] = (
+                f"FAIL {dead}: child process exited {rc} while running it; "
+                f"stderr tail:\n{tail}"
+            )
+            print(lines[dead], flush=True)
+            todo = batch[len(results) + 1 :] + todo
+    return lines
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.001")
@@ -180,23 +202,8 @@ def main() -> int:
         names = [n for n in queries if n in oracles] + (args.names or [])
     else:
         names = args.names or list(queries)
-    failed: list[str] = []
-    todo = list(names)
-    while todo:
-        batch, todo = todo[:BATCH], todo[BATCH:]
-        results, rc, tail = _run_child(args.sf, batch)
-        failed += [ln.split()[1][:-1] for ln in results if ln.startswith("FAIL")]
-        if len(results) < len(batch):
-            # the child died inside batch[len(results)]: that query
-            # fails, the rest of the batch goes to a new child
-            dead = batch[len(results)]
-            print(
-                f"FAIL {dead}: child process exited {rc} while running it; "
-                f"stderr tail:\n{tail}",
-                flush=True,
-            )
-            failed.append(dead)
-            todo = batch[len(results) + 1 :] + todo
+    lines = run_batches(args.sf, names)
+    failed = [n for n in names if lines[n].startswith("FAIL")]
     print(
         f"summary: {len(names) - len(failed)}/{len(names)} passed"
         + (f"; FAIL: {' '.join(failed)}" if failed else ""),

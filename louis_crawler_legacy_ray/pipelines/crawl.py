@@ -8,17 +8,18 @@ Round r (SURVEY §3.4):
              (depth, url), per-host politeness budget applied, and
              returns it in the same call: a small meta (count, bucket
              ranges, the shard's counts) and the table as a
-             driver-owned ref
-    expand:  the "fetch" — for the pages corpus this is a semi-join of
-             the pages table against the selected URL set (file-pruned
-             to the URL-hash buckets the round needs when the corpus
-             uses the bucketed layout) followed by the extract kernel;
-             the in-sandbox stand-in for network fetch, exactly how the
-             reference's goldie serves pages from a local cache
-             (middlewares.py:102-117). Fetched-URL recording and
-             next-depth candidate enqueue happen INSIDE the map tasks
-             (parallel RPCs to the owning shard actors) — the driver
-             never loops over URLs.
+             driver-owned ref (when round_limit binds, the driver
+             finds the global cut and truncate_selection cuts the parts)
+    expand:  the "fetch", as round tasks over one page source: the
+             pages corpus (a semi-join of the pages table against the
+             selected URL set — file-pruned to the URL-hash buckets the
+             round needs when the corpus is bucketed — then the extract
+             kernel; the in-sandbox stand-in for network fetch, like the
+             reference's goldie page cache, middlewares.py:102-117), an
+             injected fetcher, or a (src, dst) edge table. Fetch
+             recording and candidate enqueue happen INSIDE the tasks
+             (RPCs to the owning shards); the driver never loops over
+             URLs nor holds a selection.
     finish:  shards quarantine still-in-flight URLs as errored (the
              reference's 404 path, responses.py:30-35,
              goldie_playwright_parallel.py:831-845) and, when
@@ -493,16 +494,18 @@ class Frontier:
         concat/sort/requeue path pushed all of it through one process).
 
         Global round_limit is applied EXACTLY (ADVICE r1 semantics
-        kept): an iterative distributed k-th-key selection finds the
+        kept): an iterative distributed k-th-key selection, starting
+        from the 32 sample keys each take meta carries, finds the
         (depth, url) threshold whose global rank == round_limit using
         O(n_shards x 32) sample keys per refinement step and one final
-        <=4096-key exact fetch, then every shard truncates its own
-        selection locally — the overflow returns to pending INSIDE the
-        owning shard (token refunds included), no driver round-trip.
+        <=4096-key exact fetch, then every shard cuts its own part
+        locally — the overflow returns to pending INSIDE the owning
+        shard (token refunds included), no driver round-trip.
 
         ``take`` and ``truncate_selection`` both return the shard's
         (meta, table) part, so the selection reaches the driver in the
-        same call that made it."""
+        same call that made it; a round whose cap does not bind makes
+        no call between take and finish_round."""
         cfg = self.cfg
         metas, refs = _selection_parts(
             s.take.options(num_returns=2).remote(round_no, n_buckets)
@@ -512,10 +515,10 @@ class Frontier:
         driver_rows = 0
         if cfg.round_limit is not None and total > cfg.round_limit:
             t_key, driver_rows = _global_threshold(
-                self.shards, cfg.round_limit, total
+                self.shards, cfg.round_limit, total, [m["sample"] for m in metas]
             )
             metas, refs = _selection_parts(
-                s.truncate_selection.options(num_returns=2).remote(t_key, n_buckets)
+                s.truncate_selection.options(num_returns=2).remote(t_key)
                 for s in self.shards
             )
             total = sum(m["count"] for m in metas)
@@ -526,14 +529,6 @@ class Frontier:
             refs=refs,
             n_buckets=n_buckets,
             driver_rows=driver_rows,
-        )
-
-    def record_fetched(self, urls: list[str]) -> None:
-        ray.get(
-            [
-                self.shards[sid].record_fetched.remote(sub["url"].combine_chunks())
-                for sid, sub in _shard_rows(self.cfg, urls)
-            ]
         )
 
     def expire(self, urls: list[str]) -> int:
@@ -573,10 +568,10 @@ class RoundSelection:
     per-shard metas (bucket -> (offset, len) ranges when the corpus is
     bucketed, and the shard's round-start ``counts()``) + DRIVER-OWNED
     ObjectRefs of the shard selection tables (url, depth). The tables
-    live in plasma (spillable) and are only ever materialized (a)
-    inside data-plane tasks, sliced to the buckets each task's corpus
-    blocks can contain, or (b) driver-side for test-scale expands,
-    which record the materialized row count in ``driver_rows``."""
+    live in plasma (spillable) and are only ever read inside the round
+    tasks, sliced to the rows each task handles. ``driver_rows`` is
+    the number of selection keys the round_limit threshold search
+    held on the driver (0 when the cap did not bind)."""
 
     total: int
     metas: list[dict]
@@ -590,17 +585,6 @@ class RoundSelection:
         truncation after it)."""
         return [m["counts"] for m in self.metas]
 
-    def materialize(self) -> pa.Table:
-        """Concat + (depth, url)-sort the selection on the CALLER —
-        test-scale paths only; counts toward driver_rows."""
-        if not self.refs:
-            return pa.table(
-                {"url": pa.array([], pa.string()), "depth": pa.array([], pa.int32())}
-            )
-        tbl = pa.concat_tables(ray.get(list(self.refs)))
-        self.driver_rows = max(self.driver_rows, tbl.num_rows)
-        return tbl.sort_by([("depth", "ascending"), ("url", "ascending")])
-
     def bucket_union(self) -> set | None:
         if self.n_buckets is None:
             return None
@@ -610,23 +594,28 @@ class RoundSelection:
         return out
 
 
-def _global_threshold(shards, limit: int, total: int) -> tuple[tuple[int, str], int]:
+def _global_threshold(
+    shards, limit: int, total: int, sample_lists: list
+) -> tuple[tuple[int, str], int]:
     """Distributed k-th-smallest (depth, url) key across the shards'
     held selections: iterative sample-and-rank refinement (keys are
     globally unique — a URL lives on exactly one shard — so the
     smallest key with global rank >= limit has rank == limit exactly).
     Each step samples <=32 keys/shard in the open gap and ranks them
     globally; the gap shrinks ~32x/step, and once it holds <=4096 keys
-    the driver fetches just those for the exact pick. Returns (key,
-    max driver-resident key count) — the latter is the control plane's
-    bounded footprint, O(n_shards*32 + 4096) regardless of round size."""
+    the driver fetches just those for the exact pick. ``sample_lists``
+    are the shards' first-step samples (from take's metas). Returns
+    (key, max driver-resident key count) — the latter is the control
+    plane's bounded footprint, O(n_shards*32 + 4096) regardless of
+    round size."""
     lo = None
     hi = None
     rank_lo = 0
     gap = total
     max_rows = 0
     while gap > 4096:
-        sample_lists = ray.get([s.sel_sample.remote(lo, hi, 32) for s in shards])
+        if hi is not None:  # past the first step
+            sample_lists = ray.get([s.sel_sample.remote(lo, hi, 32) for s in shards])
         samples = sorted({tuple(k) for sub in sample_lists for k in sub})
         max_rows = max(max_rows, len(samples))
         ranks = ray.get([s.sel_ranks.remote(samples) for s in shards])
@@ -927,7 +916,23 @@ def clear_pages_cache() -> None:
     _PAGES_MAT.clear()
 
 
-class _CorpusPages:
+class _HtmlPages:
+    """A page source whose pages are html: ``items`` extracts them."""
+
+    def items(self, urls: list, htmls: list, rows: pa.Table, policy: RoundPolicy):
+        # rows: the pages' selection rows; under OPIC their cash rides
+        # along for the control builder to split over the out-links
+        return extract_items(
+            urls,
+            htmls,
+            rows["depth"].to_pylist(),
+            now_us=policy.now_us,
+            allowed_domains=policy.allowed_domains,
+            extra={"cash": rows["cash"]} if "cash" in rows.column_names else None,
+        )
+
+
+class _CorpusPages(_HtmlPages):
     """Page source over one GROUP of pinned corpus blocks: the
     semi-join of the blocks against the task's selection slices is the
     in-sandbox stand-in for network fetch.
@@ -988,7 +993,7 @@ class _CorpusPages:
         return hit_urls, hit_htmls, codes
 
 
-class _FetchedPages:
+class _FetchedPages(_HtmlPages):
     """Page source over an injected Fetcher (stages/fetch.py): the
     factory builds/reuses the session INSIDE the worker process
     (reference: one Playwright browser per worker,
@@ -1017,6 +1022,50 @@ class _FetchedPages:
         return urls, htmls, sel_index
 
 
+class _EdgePages:
+    """Page source over a (src, dst) edge table (any string type;
+    rows with a null are dropped): every selected URL fetches, its
+    links its dst list in edge order. The table is indexed once, here —
+    dst sorted by src (a stable sort keeps each src's edge order), the
+    distinct srcs as sorted bytes and the bounds of their dst runs —
+    into ONE object-store copy the tasks read zero-copy, so a task
+    binary-searches its own URLs instead of scanning every edge."""
+
+    def __init__(self, edges_table: pa.Table):
+        import numpy as np
+
+        edges = edges_table.select(["src", "dst"]).drop_null()
+        edges = edges.cast(
+            pa.schema([("src", pa.string()), ("dst", pa.string())])
+        ).sort_by("src")
+        keys, starts = np.unique(
+            edges["src"].to_numpy(zero_copy_only=False), return_index=True
+        )
+        # a last key after every UTF-8 URL, with an empty run, keeps
+        # each lookup in bounds
+        keys = np.array([u.encode() for u in keys] + [b"\xff"], dtype=bytes)
+        n = edges.num_rows
+        bounds = np.r_[starts, n, n].astype(np.int64)
+        self.index = ray.put((keys, bounds, edges["dst"].combine_chunks()))
+
+    def pages(self, sel_urls: pa.Array) -> tuple:
+        import numpy as np
+
+        keys, bounds, dst = ray.get(self.index)
+        q = np.array([u.encode() for u in sel_urls.to_pylist()], dtype=bytes)
+        i = np.searchsorted(keys, q)
+        n = np.where(keys[i] == q, bounds[i + 1] - bounds[i], 0)
+        offsets = np.r_[0, np.cumsum(n)].astype(np.int64)
+        # each selected URL's dst run, in selection order
+        rows = np.repeat(bounds[i] - offsets[:-1], n) + np.arange(offsets[-1])
+        links = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), dst.take(rows))
+        return sel_urls, links, np.arange(len(sel_urls))
+
+    def items(self, urls: pa.Array, links: pa.Array, rows: pa.Table, policy):
+        # (url, depth, links[, cash]): no html, nothing to extract
+        return rows.add_column(0, "url", urls).append_column("links", links)
+
+
 @ray.remote
 def _round_task(
     source,
@@ -1026,10 +1075,11 @@ def _round_task(
     out_part: str | None,
     task_idx: int,
 ) -> tuple[pa.Table, list]:
-    """One round x one page source: fetch (``source.pages``) + extract,
-    then SEND the control rows straight to their owning shard actors
-    (no blocking ray.get in the data plane, and the driver never
-    conveys per-URL data). Returns the counts table and the refs of
+    """One round x one page source: fetch (``source.pages``), items
+    (``source.items``: the extract kernel, or the edge lists), then
+    SEND the control rows straight to their owning shard actors (no
+    blocking ray.get in the data plane, and the driver never conveys
+    per-URL data). Returns the counts table and the refs of
     those shard calls; the driver awaits the refs before closing the
     round, so a shard that raises on a delivery fails the round. This
     is the multi-node control shape: candidates flow task->shard
@@ -1058,27 +1108,15 @@ def _round_task(
                 sel_tbls.append(t)
         else:
             sel_tbls.extend(t.slice(s_off, s_len) for s_off, s_len in ranges)
-    urls: list = []
+    urls = []
     if sel_tbls:
         sel = pa.concat_tables(sel_tbls)
-        urls, htmls, sel_index = source.pages(sel["url"].combine_chunks())
+        urls, pages, sel_index = source.pages(sel["url"].combine_chunks())
     ts1 = time.time()
-    if not urls:
+    if len(urls) == 0:
         return _counts_table(0, ts0, ts1 - ts0, 0.0, 0.0, ts1), []
-    take = pa.array(sel_index)
-    depths = sel["depth"].combine_chunks().take(take).to_pylist()
-    # OPIC: each fetched page's frozen cash rides along so the control
-    # builder can split it over the page's out-links
-    items = extract_items(
-        urls,
-        htmls,
-        depths,
-        now_us=policy.now_us,
-        allowed_domains=policy.allowed_domains,
-        extra={"cash": sel["cash"].combine_chunks().take(take)}
-        if "cash" in sel.column_names
-        else None,
-    )
+    rows = sel.drop_columns(["url"]).take(pa.array(sel_index))
+    items = source.items(urls, pages, rows, policy)
     ts2 = time.time()
     if out_part is not None:
         _write_items_part(items, out_part, f"part-{task_idx:05d}")
@@ -1135,8 +1173,12 @@ def _send_control(items: pa.Table, shards, policy: RoundPolicy) -> list:
 
 
 def _held(counts: list[dict]) -> int:
-    """URLs the shards hold: pending + seen + errored + in_flight."""
-    return sum(c["pending"] + c["seen"] + c["errored"] + c["in_flight"] for c in counts)
+    """URLs the shards hold live: pending + seen + in_flight. Between a
+    round's take and its finish only deliveries run, so the rise of
+    this sum is the round's admitted candidates; errored stays out, as
+    a URL ``enqueue`` quarantines (trap_denied / robots_disallowed) is
+    no candidate."""
+    return sum(c["pending"] + c["seen"] + c["in_flight"] for c in counts)
 
 
 def _await_round(task_refs) -> dict:
@@ -1229,8 +1271,7 @@ def _run_round(
 ) -> dict:
     """Submit one ``_round_task`` per planned (page source, sel_parts)
     pair and await the round: every expand stage shares this, and
-    differs only in how it plans the pairs. The stats carry no
-    ``admitted``: run_frontier takes it from the finish counts."""
+    differs only in how it plans the pairs."""
     out_part = (
         f"{out_dir}/crawl_items/round={round_no:06d}{part_tag}"
         if out_dir is not None
@@ -1248,6 +1289,18 @@ def _run_round(
     return stats
 
 
+def _chunked_plan(source, sel: RoundSelection, chunk_size: int = 1024) -> list:
+    """One round task per ``chunk_size`` rows of each shard's selection:
+    (source, [(shard-selection ref, [(offset, len)])]) pairs, sliced
+    inside the tasks, so the driver conveys only refs and chunk
+    arithmetic."""
+    return [
+        (source, [(ref, [(off, min(chunk_size, meta["count"] - off))])])
+        for meta, ref in zip(sel.metas, sel.refs)
+        for off in range(0, meta["count"], chunk_size)
+    ]
+
+
 def fetcher_expand(
     fetcher_factory,
     cfg: CrawlConfig,
@@ -1257,21 +1310,16 @@ def fetcher_expand(
 ):
     """Expansion stage driven by an injected Fetcher (stages/fetch.py)
     instead of the corpus semi-join: the round's URL set fans out in
-    chunks to round tasks — (shard-selection ref, [(offset, len)])
-    parts, sliced inside the tasks, so the driver conveys only refs and
-    chunk arithmetic. Interchangeable with pages_expand — same round
-    task, frontier semantics, and per-round output layout."""
+    chunks to round tasks (:func:`_chunked_plan`). Interchangeable with
+    pages_expand — same round task, frontier semantics, and per-round
+    output layout."""
     policy = RoundPolicy.from_config(cfg, now_us)
     source = _FetchedPages(fetcher_factory)
 
     def expand(
         sel: RoundSelection, round_no: int, frontier: Frontier, part_tag: str = ""
     ) -> dict:
-        plan = [
-            (source, [(ref, [(off, min(chunk_size, meta["count"] - off))])])
-            for meta, ref in zip(sel.metas, sel.refs)
-            for off in range(0, meta["count"], chunk_size)
-        ]
+        plan = _chunked_plan(source, sel, chunk_size)
         return _run_round(plan, frontier, policy, out_dir, round_no, part_tag)
 
     return expand
@@ -1392,29 +1440,18 @@ def pages_expand(pages_path: str, cfg: CrawlConfig, out_dir: str | None, now_us:
 
 def edges_expand(edges_table: pa.Table):
     """Expansion over a plain (src, dst) edge table — the frontier
-    engine exercised as a pure BFS (the oracle-checked crawl_graph_bfs
-    query); every URL "fetches" successfully. Test-scale path: the
-    selection IS materialized on the driver here (the edge table
-    already lives there)."""
+    engine as a pure BFS (the oracle-checked crawl_graph_bfs query):
+    every URL "fetches", its out-links being its dst list. The rounds
+    run as round tasks over :class:`_EdgePages`, planned like
+    fetcher_expand's."""
+    source = _EdgePages(edges_table)
 
     def expand(
-        rsel: "RoundSelection", round_no: int, frontier: Frontier, part_tag: str = ""
+        sel: RoundSelection, round_no: int, frontier: Frontier, part_tag: str = ""
     ) -> dict:
-        selected = rsel.materialize()
-        sel = selected["url"]
-        sel = sel.combine_chunks() if isinstance(sel, pa.ChunkedArray) else sel
-        frontier.record_fetched(selected["url"].to_pylist())
-        mask = pc.is_in(edges_table["src"], value_set=sel)
-        hit = edges_table.filter(mask)
-        # vectorized candidate depths: index hit srcs into the round's
-        # selection, child depth = parent depth + 1, prune > max_depth
-        idx = pc.index_in(hit["src"], value_set=sel)
-        nd = pc.add(pc.take(selected["depth"], idx), pa.scalar(1, pa.int32()))
-        keep = pc.less_equal(nd, pa.scalar(frontier.cfg.max_depth, pa.int32()))
-        cand_urls = hit["dst"].filter(keep).to_pylist()
-        cand_depths = nd.filter(keep).to_pylist()
-        admitted = frontier.enqueue_table(cand_urls, cand_depths)
-        return {"fetched": selected.num_rows, "admitted": admitted}
+        policy = RoundPolicy.from_config(frontier.cfg)
+        plan = _chunked_plan(source, sel)
+        return _run_round(plan, frontier, policy, None, round_no, part_tag)
 
     return expand
 
@@ -1517,8 +1554,7 @@ def run_frontier(
     selection rows live in the shards, page payloads in the data-plane
     tasks, order parts in plasma/parquet. Per-round ``driver_rows``
     in the metrics records the largest driver-resident row count the
-    control plane actually touched (threshold-probe samples, or a
-    materialized test-path selection).
+    control plane actually touched (the round_limit threshold keys).
 
     Pass an existing ``frontier`` to CONTINUE over live shard state
     (multi-pass jobs: TTL re-crawl expires a URL subset, then runs a
@@ -1696,19 +1732,16 @@ def run_frontier(
                     order_refs.extend(part_refs)
                 ckpt_counts = [f["checkpoint"] for f in fin] if ckpt_tmp else None
             dt = time.perf_counter() - t0
-            admitted = stats.get("admitted")
-            if admitted is None:
-                # the round tasks delivered straight to the shards: the
-                # fin counts are the shards' after every delivery and
-                # before any quarantine, sel.counts those at the take
-                admitted = _held([f["counts"] for f in fin]) - _held(sel.counts)
             row = {
                 "round": round_no,
                 "selected": sel.total,
                 "fetched": stats["fetched"],
                 "errored": sum(f.get("errored", 0) for f in fin),
                 "retried": sum(f.get("retried", 0) for f in fin),
-                "new_candidates": admitted,
+                # the fin counts are the shards' after every delivery
+                # and before any quarantine, sel.counts those at the take
+                "new_candidates": _held([f["counts"] for f in fin])
+                - _held(sel.counts),
                 "pending_lag": sum(f["counts"]["pending"] for f in fin),
                 "seconds": dt,
                 "urls_per_sec": sel.total / dt if dt > 0 else 0.0,

@@ -11,9 +11,9 @@ host's pending URLs and its politeness budget are colocated in one
 actor (north_rule: hash-partition by host; SURVEY §2.3 T4/T5).
 
 Routing is ONE implementation, :func:`route_urls` below, used by every
-delivery path (seeds, driver-side record_fetched / expire, the
-score-map split, legacy import, the round tasks' control rows). Its
-host rule is ``scheme://netloc`` up to the first '/', '?' or '#';
+delivery path (seeds, driver-side expire, the score-map split, legacy
+import, the round tasks' control rows). Its host rule is
+``scheme://netloc`` up to the first '/', '?' or '#';
 URLs that do not parse that way (leading space, no scheme, ...) share
 host ``""`` and so one shard. Hot-host salt and ip_groups refine the
 key (:func:`shard_of`). The robots lookup (``RobotsCache.allowed``,
@@ -28,7 +28,8 @@ enqueue/take semantics, :606-664):
     take(round_no):       pending sorted by the priority key; per-host
                           budget applied; selected move to in_flight;
                           returns the selection part (meta + table),
-                          the meta carrying the shard's counts
+                          the meta carrying the shard's counts (and,
+                          under round_limit, a key sample)
     record_fetched(urls): in_flight -> seen
     finish_round(round_no): what is still in_flight -> errored (or a
                           retry slot); the round's order part is
@@ -36,9 +37,11 @@ enqueue/take semantics, :606-664):
 
 So the driver meets each shard twice per round: take and
 finish_round, which also writes the shard's checkpoint file when the
-crawl checkpoints. The round tasks' ``record_fetched`` / ``enqueue``
-calls reach the shards directly; the driver waits on their refs, not
-on shard-side counters.
+crawl checkpoints; in a round whose round_limit binds, the threshold
+probes and truncate_selection (which cuts take's part) sit between
+them. The round tasks' ``record_fetched`` / ``enqueue`` calls reach
+the shards directly; the driver waits on their refs, not on
+shard-side counters.
 
 A shard is built from the crawl's ``CrawlConfig`` (its
 ``priority_scores`` cut to this shard's slice) and reads every budget,
@@ -418,6 +421,10 @@ class FrontierShard:
         # never on a row table proportional to the round)
         self._sel: tuple[list, list, list] | None = None  # (urls, depths, hosts)
         self._sel_keys: list[tuple[int, str]] | None = None
+        # the part take built from it: (table, key position of each
+        # row or None when the rows are in key order, sorted bucket
+        # ids or None) — truncate_selection cuts it, builds no other
+        self._sel_part: tuple | None = None
         # SIGTERM-salvaged remainder of an interrupted round: the next
         # take must return EXACTLY these rows (not whatever pending
         # holds, which may already include next-depth candidates from
@@ -555,10 +562,11 @@ class FrontierShard:
         shard and return it as the (meta, table) part (see _part) —
         called with num_returns=2, so the driver ray.gets only the
         small meta (count, bucket ranges, this shard's counts()) and
-        keeps the table as a driver-owned ref. Under a binding
-        ``round_limit`` the driver steers the held selection through
-        probes (sel_ranks / sel_sample) and truncate_selection; no
-        table proportional to the round ever crosses to the driver.
+        keeps the table as a driver-owned ref. Under ``round_limit``
+        the meta also holds 32 evenly spaced sample keys; when the cap
+        binds, the driver cuts the round globally from them (probes
+        sel_ranks / sel_sample) and truncate_selection cuts the part;
+        no table proportional to the round ever crosses to the driver.
 
         Pending (plus retry entries whose backoff has elapsed) is
         sorted by the ``cfg.priority`` key — the BFS (depth, url) order
@@ -600,7 +608,11 @@ class FrontierShard:
             _sel_key(cfg.priority, d, u, score_map)
             for d, u in zip(self._sel[1], self._sel[0])
         ]
-        return self._part(n_buckets)
+        meta, tbl = self._part(n_buckets)
+        if cfg.round_limit is not None:
+            # the driver's threshold search starts from these keys
+            meta["sample"] = self.sel_sample(None, None, 32)
+        return meta, tbl
 
     def _select(self, round_no: int, score_map: dict) -> tuple[list, list, list]:
         import itertools as _it
@@ -716,21 +728,20 @@ class FrontierShard:
         idx = sorted({a + int((i + 1) * step) - 1 for i in range(k)} | {b - 1})
         return [sk[i] for i in idx]
 
-    def truncate_selection(
-        self, t_key: tuple[int, str], n_buckets: int | None = None
-    ):
+    def truncate_selection(self, t_key: tuple[int, str]):
         """Keep only selection rows with key <= t_key; the tail goes
         BACK to pending in this shard (local requeue — the global
         round_limit overflow never round-trips through the driver).
         Under token_bucket politeness take charged a token per selected
         URL; the returned URLs are credited back (bounded by the burst
         cap) so throttled hosts keep their documented long-run rate of
-        per_host_budget/round. Returns the rebuilt (meta, table) part,
-        like take (num_returns=2)."""
+        per_host_budget/round. Returns the (meta, table) part, like
+        take (num_returns=2): take's part cut to the kept rows, so no
+        URL is hashed or copied into a table twice."""
         import bisect
 
         if self._sel is None:
-            return self._part(n_buckets)
+            return self._part(None)
         cut = bisect.bisect_right(self._sel_keys, tuple(t_key))
         urls, depths, hosts = self._sel
         for url, depth, host in zip(urls[cut:], depths[cut:], hosts[cut:]):
@@ -743,23 +754,25 @@ class FrontierShard:
                 )
         self._sel = (urls[:cut], depths[:cut], hosts[:cut])
         self._sel_keys = self._sel_keys[:cut]
-        return self._part(n_buckets)
+        tbl, pos, bk = self._sel_part
+        if pos is None:
+            tbl = tbl.slice(0, cut)
+        else:
+            # bucket-grouped rows: a key prefix of each bucket stays
+            keep = pos < cut
+            tbl, pos, bk = tbl.filter(keep), pos[keep], bk[keep]
+        self._sel_part = (tbl, pos, bk)
+        return self._meta(cut, bk), tbl
 
     def _part(self, n_buckets: int | None) -> tuple[dict, pa.Table]:
-        """The held selection as (meta, table) for the data plane. The
-        meta carries the count, this shard's ``counts()`` (the round's
-        start counts the driver measures admissions from) and,
-        with n_buckets, bucket -> (offset, len) ranges: the rows are
-        grouped by the corpus url-hash bucket, so a fused round task
-        zero-copy-slices exactly the buckets its corpus blocks can
-        contain."""
+        """The held selection as (meta, table) for the data plane (see
+        _meta). With n_buckets the rows are grouped by the corpus
+        url-hash bucket, key order kept within a bucket, so a fused
+        round task zero-copy-slices exactly the buckets its corpus
+        blocks can contain. The part stays held for
+        truncate_selection."""
         urls, depths, _hosts = self._sel if self._sel is not None else ([], [], [])
-        meta = {
-            "count": len(urls),
-            "buckets": None,
-            "ranges": None,
-            "counts": self.counts(),
-        }
+        pos = bk = None
         if n_buckets is not None:
             from ..sources.pages import url_bucket
 
@@ -768,19 +781,10 @@ class FrontierShard:
                 dtype=np.int32,
                 count=len(urls),
             )
-            order = np.argsort(bk, kind="stable")
-            sorted_bk = bk[order]
-            ranges: dict[int, tuple[int, int]] = {}
-            if len(sorted_bk):
-                bounds = np.flatnonzero(np.diff(sorted_bk)) + 1
-                starts = np.concatenate(([0], bounds))
-                ends = np.concatenate((bounds, [len(sorted_bk)]))
-                for s, e in zip(starts, ends):
-                    ranges[int(sorted_bk[s])] = (int(s), int(e - s))
-            urls = [urls[i] for i in order]
-            depths = [depths[i] for i in order]
-            meta["buckets"] = sorted(ranges)
-            meta["ranges"] = ranges
+            pos = np.argsort(bk, kind="stable")
+            bk = bk[pos]
+            urls = [urls[i] for i in pos]
+            depths = [depths[i] for i in pos]
         tbl = pa.table(
             {"url": pa.array(urls, pa.string()), "depth": pa.array(depths, pa.int32())}
         )
@@ -795,7 +799,26 @@ class FrontierShard:
             tbl = tbl.append_column(
                 "cash", pa.array((self.cash.get(u, 0) for u in urls), pa.int64())
             )
-        return meta, tbl
+        self._sel_part = (tbl, pos, bk)
+        return self._meta(len(urls), bk), tbl
+
+    def _meta(self, count: int, bk) -> dict:
+        """A part's meta: its row count, this shard's ``counts()`` (the
+        round's start counts the driver measures admissions from) and,
+        given the rows' sorted bucket ids ``bk``, bucket -> (offset,
+        len) ranges."""
+        meta = {"count": count, "buckets": None, "ranges": None, "counts": self.counts()}
+        if bk is not None:
+            ranges: dict[int, tuple[int, int]] = {}
+            if len(bk):
+                bounds = np.flatnonzero(np.diff(bk)) + 1
+                starts = np.concatenate(([0], bounds))
+                ends = np.concatenate((bounds, [len(bk)]))
+                for s, e in zip(starts, ends):
+                    ranges[int(bk[s])] = (int(s), int(e - s))
+            meta["buckets"] = sorted(ranges)
+            meta["ranges"] = ranges
+        return meta
 
     # -- end of round -----------------------------------------------
     def _order_part(
@@ -882,6 +905,7 @@ class FrontierShard:
             depths = [d for _, d in keep]
         self._sel = None
         self._sel_keys = None
+        self._sel_part = None
         stats = {
             "errored": len(errored),
             "ok": len(urls),
@@ -924,6 +948,7 @@ class FrontierShard:
         )
         self._sel = None
         self._sel_keys = None
+        self._sel_part = None
         stats = {
             "fetched": len(fetched),
             "deferred": len(unfetched),

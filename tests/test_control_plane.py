@@ -209,7 +209,7 @@ def test_global_threshold_iterative_refinement(ray_session):
         assert sel.total == 5000
         probe_rows = sel.driver_rows
         assert 0 < probe_rows <= 4096 + 97 * 32
-        tbl = sel.materialize()
+        tbl = pa.concat_tables(_ray.get(sel.refs))
         got = sorted(zip(tbl["depth"].to_pylist(), tbl["url"].to_pylist()))
         want = sorted(zip(depths, urls))[:5000]
         assert got == want
@@ -237,7 +237,7 @@ def test_global_threshold_with_priority_key(ray_session):
         f.enqueue_table(urls, depths)
         sel = f.take_round()
         assert sel.total == 400
-        tbl = sel.materialize()
+        tbl = pa.concat_tables(_ray.get(sel.refs))
         got = sorted(
             (d, len(u), u)
             for d, u in zip(tbl["depth"].to_pylist(), tbl["url"].to_pylist())

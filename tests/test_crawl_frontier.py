@@ -122,6 +122,25 @@ def test_edges_expand_pure_bfs(ray_session):
     assert got == {"a": 0, "b": 1, "c": 1, "d": 2, "e": 3}
 
 
+def test_edges_expand_takes_any_string_type(ray_session):
+    """An edge table with large_string or dictionary columns (as pandas
+    or polars parquet often comes back) crawls like a string one; rows
+    with a null are dropped."""
+    src = ["a", "a", "b", "c", "d", None]
+    dst = ["b", "c", "d", "d", "e", "f"]
+    cfg = CrawlConfig(n_shards=2, max_depth=10, max_rounds=10)
+    plain = run_frontier(edges_expand(pa.table({"src": src, "dst": dst})), ["a"], cfg)
+    other = pa.table(
+        {
+            "src": pa.array(src, pa.large_string()),
+            "dst": pa.array(dst).dictionary_encode(),
+        }
+    )
+    res = run_frontier(edges_expand(other), ["a"], cfg)
+    assert res.order.to_pylist() == plain.order.to_pylist()
+    assert res.order.num_rows == 5
+
+
 def test_checkpoint_resume_identical(ray_session, corpus, tmp_path):
     """Kill after round k, resume from checkpoint: final outputs equal
     an uninterrupted run (FIXTURES.md §5 resume fixture)."""

@@ -2,7 +2,7 @@
 ``scheme://netloc`` up to the first '/', '?' or '#', or "" when the URL
 does not parse — and the shard formula (hot-host salt, ip_groups,
 blake2b of the host) are the same on every frontier delivery path:
-seeds, driver-side record_fetched / expire, the score-map split, legacy
+seeds, driver-side expire, the score-map split, legacy
 import, and the round task's control rows. A URL two paths route to
 different shards is fetched on one shard and quarantined on another."""
 

@@ -25,14 +25,19 @@ Round r (SURVEY §3.4):
              goldie_playwright_parallel.py:831-845) and, when
              checkpointing, each writes its own state file; the stats
              carry each shard's counts as the deliveries left them (the
-             round's admitted total and pending lag)
-    checkpoint: the driver commits the round (lineage manifest last)
-             and appends its metrics row
+             round's admitted total and pending lag). A round cut by a
+             graceful stop takes the same call with its attempt number:
+             the shards stash the unfetched URLs instead of
+             quarantining them (reference SIGINT path,
+             goldie_playwright_parallel.py:871-901)
+    checkpoint: the driver commits the round (lineage manifest last),
+             to round=N.partial when some shard deferred a URL, and
+             appends its metrics row
 
-So a round costs the driver two sequential waves of shard calls: take
-and finish_round. Between take and finish the driver waits on the
-refs of the round tasks' shard sends, so a failed delivery raises
-instead of going missing.
+So a round, stopped or not, costs the driver two sequential waves of
+shard calls: take and finish_round. Between take and finish the driver
+waits on the refs of the round tasks' shard sends, so a failed delivery
+raises instead of going missing.
 
 The reference's production loop is the same shape with a single-process
 seen set and a ProcessPoolExecutor batch barrier
@@ -81,7 +86,7 @@ from ..state.seen import (  # shard_of: re-exported, the scalar router
 # goldie_playwright_parallel.py:700-728, 871-901) ---------------------
 # A signal handler may only set a flag; the crawl loop and the round
 # awaiter poll it at safe points: stop submitting, cancel undone round
-# tasks, keep what landed, salvage a round=N.partial checkpoint that
+# tasks, keep what landed, commit a round=N.partial checkpoint that
 # resume treats as "re-run round N over the unfetched remainder".
 _STOP = threading.Event()
 
@@ -142,7 +147,12 @@ class CrawlConfig:
                                             # wins ties — functions/robots.py)
     deny_url_patterns: list | None = None   # trap-guard regexes quarantined at
                                             # admission (feed from crawl_traps'
-                                            # flagged patterns)
+                                            # flagged patterns). Pages and
+                                            # fetcher crawls follow the links
+                                            # extract_links returns, which drop
+                                            # the ?query (the reference's rule),
+                                            # so a pattern keyed on '?' matches
+                                            # candidates only on edge-table crawls
     max_retries: int = 0                    # transient-failure retries per URL
                                             # (0 = reference behavior: one shot,
                                             # then quarantine as not_found)
@@ -1193,8 +1203,8 @@ def _await_round(task_refs) -> dict:
     via Ray's in-task interrupt), a short grace window harvests tasks
     that beat the cancel, and only the completed tasks' sends are
     awaited — their deliveries are the salvaged portion of the round.
-    Returns ``interrupted=True`` so run_frontier takes the salvage path
-    instead of finish_round."""
+    Returns ``interrupted=True`` so run_frontier passes the round's
+    attempt to finish_round, which stashes what did not land."""
     import time as _time
 
     t_submit_done = _time.perf_counter()
@@ -1665,79 +1675,39 @@ def run_frontier(
             stats = expand(sel, round_no, frontier, part_tag=tag)
             t_expand = time.perf_counter() - t1
             t2 = time.perf_counter()
-            if stats.get("interrupted"):
-                # mid-round SIGTERM salvage: completed tasks' fetches
-                # stand (shard-side order parts for them), unfetched
-                # selection rows return to pending, and the state goes
-                # to a round=N.partial checkpoint that resume re-runs
-                salv_refs, salv_parts = [], []
-                for s in frontier.shards:
-                    a, b = s.salvage_round_part.options(num_returns=2).remote(
-                        round_no, order_dir, attempt
-                    )
-                    salv_refs.append(a)
-                    salv_parts.append(b)
-                salv = ray.get(salv_refs)
-                if order_dir is None:
-                    order_refs.extend(salv_parts)
-                n_deferred = sum(x["deferred"] for x in salv)
-                if n_deferred:
-                    row = {
-                        "round": round_no,
-                        "selected": sel.total,
-                        "fetched": sum(x["fetched"] for x in salv),
-                        "deferred": n_deferred,
-                        "partial_attempt": attempt,
-                        "driver_rows": sel.driver_rows,
-                    }
-                    metrics.append(row)
-                    if cfg.checkpoint_dir:
-                        write_checkpoint(
-                            cfg.checkpoint_dir,
-                            round_no,
-                            frontier.shards,
-                            chash,
-                            row,
-                            partial_attempt=attempt,
-                        )
-                    break
-                # the stop landed after every task's deliveries arrived:
-                # the round actually COMPLETED (nothing to re-take,
-                # nothing in_flight to quarantine). Commit it as a normal
-                # round — a .partial here would make resume re-run round
-                # N over an all-empty stash and terminate the crawl at
-                # sel.total==0 (ADVICE r3)
-                ray.get([s.clear_resume_sel.remote() for s in frontier.shards])
-                fin = salv
-                ckpt_counts = None  # write_checkpoint has the shards write
-            else:
-                # end of round, shard-side: quarantine, per-shard order
-                # part and, when checkpointing, the shard's state file
-                ckpt_tmp = (
-                    begin_round(cfg.checkpoint_dir, round_no)
-                    if cfg.checkpoint_dir
-                    else None
+            # end of round, shard-side: quarantine (or, after a graceful
+            # stop, stash the unfetched rest under the attempt), the
+            # shard's order part and, when checkpointing, its state file
+            stop_attempt = attempt if stats.get("interrupted") else None
+            ckpt_tmp = (
+                begin_round(cfg.checkpoint_dir, round_no)
+                if cfg.checkpoint_dir
+                else None
+            )
+            fin_refs, part_refs = [], []
+            for i, s in enumerate(frontier.shards):
+                a, b = s.finish_round.options(num_returns=2).remote(
+                    round_no,
+                    order_dir,
+                    shard_file(ckpt_tmp, i) if ckpt_tmp else None,
+                    stop_attempt,
                 )
-                fin_refs, part_refs = [], []
-                for i, s in enumerate(frontier.shards):
-                    a, b = s.finish_round.options(num_returns=2).remote(
-                        round_no,
-                        order_dir,
-                        shard_file(ckpt_tmp, i) if ckpt_tmp else None,
-                    )
-                    fin_refs.append(a)
-                    part_refs.append(b)
-                fin = ray.get(fin_refs)
-                if order_dir is None:
-                    order_refs.extend(part_refs)
-                ckpt_counts = [f["checkpoint"] for f in fin] if ckpt_tmp else None
+                fin_refs.append(a)
+                part_refs.append(b)
+            fin = ray.get(fin_refs)
+            if order_dir is None:
+                order_refs.extend(part_refs)
             dt = time.perf_counter() - t0
             row = {
                 "round": round_no,
                 "selected": sel.total,
-                "fetched": stats["fetched"],
-                "errored": sum(f.get("errored", 0) for f in fin),
-                "retried": sum(f.get("retried", 0) for f in fin),
+                # a stopped round counts what landed on the shards: a
+                # task cancelled after its sends reports no count
+                "fetched": stats["fetched"]
+                if stop_attempt is None
+                else sum(f["fetched"] for f in fin),
+                "errored": sum(f["errored"] for f in fin),
+                "retried": sum(f["retried"] for f in fin),
                 # the fin counts are the shards' after every delivery
                 # and before any quarantine, sel.counts those at the take
                 "new_candidates": _held([f["counts"] for f in fin])
@@ -1754,6 +1724,13 @@ def run_frontier(
             # scalar columns keep the metrics parquet schema stable)
             for k, v in (stats.get("prof") or {}).items():
                 row[f"p_{k}"] = v
+            # a stop that lands after every delivery leaves nothing
+            # deferred: the round completed and commits as one (a
+            # .partial would make resume re-run it over an all-empty
+            # stash and end the crawl, ADVICE r3)
+            deferred = sum(f.get("deferred", 0) for f in fin)
+            if deferred:
+                row.update(deferred=deferred, partial_attempt=attempt)
             metrics.append(row)
             if cfg.checkpoint_dir:
                 write_checkpoint(
@@ -1762,12 +1739,14 @@ def run_frontier(
                     frontier.shards,
                     chash,
                     row,
-                    shard_counts=ckpt_counts,
+                    partial_attempt=attempt if deferred else None,
+                    shard_counts=[f["checkpoint"] for f in fin],
                 )
-                append_metrics(cfg.checkpoint_dir, [row])
-                if attempt:
-                    # the salvaged partial for this round is superseded
-                    clear_partial(cfg.checkpoint_dir, round_no)
+                if not deferred:
+                    append_metrics(cfg.checkpoint_dir, [row])
+                    if attempt:
+                        # the salvaged partial for this round is superseded
+                        clear_partial(cfg.checkpoint_dir, round_no)
             if stats.get("interrupted"):
                 break
             round_no += 1

@@ -19,12 +19,13 @@ the layout the north_rule asks for:
 A round directory without ``_lineage.json`` is incomplete and ignored
 by resume (atomicity); the driver renames ``round=N.tmp`` to
 ``round=N`` only after every shard returned its file's row counts.
-The driver never holds shard state: shards write their own files
-(``FrontierShard.finish_round(..., ckpt_path)`` or, on the salvage
-paths, ``FrontierShard.checkpoint``) and read them back
-(``FrontierShard.restore``). This module is the one place that knows
-the file format: :func:`write_shard_state` / :func:`read_shard_state`
-over the ``dump()`` dict.
+A round cut by a graceful stop commits the same way, renamed to
+``round=N.partial`` instead when some shard deferred a URL. The driver
+never holds shard state: shards write their own files inside
+``FrontierShard.finish_round(..., ckpt_path)``, stopped rounds
+included, and read them back (``FrontierShard.restore``). This module
+is the one place that knows the file format: :func:`write_shard_state`
+/ :func:`read_shard_state` over the ``dump()`` dict.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def shard_file(rdir: str, shard_id: int) -> str:
     return os.path.join(rdir, f"shard={shard_id:04d}.parquet")
 
 
-def begin_round(ckpt_dir: str, round_no: int, partial: bool = False) -> str:
+def begin_round(ckpt_dir: str, round_no: int) -> str:
     """Empty and create the round's ``.tmp`` directory (a stale one
     from a crashed or wider crawl must not leak into the commit) and
     return it: the shards write their files there."""
-    tmp = _round_dir(ckpt_dir, round_no, partial) + ".tmp"
+    tmp = _round_dir(ckpt_dir, round_no) + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
     return tmp
@@ -92,30 +93,24 @@ def write_checkpoint(
     config_hash: str,
     metrics: dict,
     partial_attempt: int | None = None,
-    shard_counts: list[dict] | None = None,
+    *,
+    shard_counts: list[dict],
 ) -> str:
     """Commit a round: sum the shards' row counts, write _lineage.json
-    last, rename the ``.tmp`` directory into place.
+    last, rename :func:`begin_round`'s ``.tmp`` directory into place.
 
     ``shard_counts`` are the counts ``finish_round(..., ckpt_path)``
-    returned: the shards already wrote their files into
-    :func:`begin_round`'s directory. Without them (the salvage paths,
-    where shard state changes after the round call) each shard writes
-    its file now, via ``FrontierShard.checkpoint``.
+    returned: the shards already wrote their files into the ``.tmp``
+    directory.
 
-    ``partial_attempt`` marks a MID-ROUND salvage checkpoint (graceful
-    SIGTERM): state goes to ``round=N.partial`` — invisible to
+    ``partial_attempt`` marks a round a graceful stop cut with URLs
+    still deferred: it commits to ``round=N.partial`` — invisible to
     latest_complete_round (the '.' transient filter) but discovered by
-    partial_round() — and resume re-runs round N over the salvaged
-    pending remainder, tagging its outputs with attempt+1."""
+    partial_round() — and resume re-runs round N over the shards'
+    stashed remainder, tagging its outputs with attempt+1."""
     partial = partial_attempt is not None
     final = _round_dir(ckpt_dir, round_no, partial)
-    tmp = final + ".tmp"
-    if shard_counts is None:
-        begin_round(ckpt_dir, round_no, partial)
-        shard_counts = ray.get(
-            [s.checkpoint.remote(shard_file(tmp, i)) for i, s in enumerate(shards)]
-        )
+    tmp = _round_dir(ckpt_dir, round_no) + ".tmp"
     counts = {name: sum(c[name] for c in shard_counts) for name in _COUNTED}
     with open(os.path.join(tmp, "_lineage.json.tmp"), "w") as f:
         json.dump(
@@ -197,8 +192,11 @@ def load_checkpoint(
     ckpt_dir: str, round_no: int, shards: list, partial: bool = False
 ) -> None:
     """Restore every shard from a committed round: each shard reads its
-    own file. A round in the per-table layout (``shard=iiii/``
-    directories) is refused before any shard is touched."""
+    own file. Only a ``partial`` round restores the shards' stash (a
+    stop after every delivery commits a complete round whose files
+    hold an empty one). A round in the per-table layout
+    (``shard=iiii/`` directories) is refused before any shard is
+    touched."""
     rdir = _round_dir(ckpt_dir, round_no, partial)
     old = sorted(
         n for n in os.listdir(rdir)
@@ -211,7 +209,9 @@ def load_checkpoint(
             "shard=iiii.parquet file per shard; it cannot be resumed "
             "(start a new crawl in a fresh checkpoint_dir)"
         )
-    ray.get([s.restore.remote(shard_file(rdir, i)) for i, s in enumerate(shards)])
+    ray.get(
+        [s.restore.remote(shard_file(rdir, i), partial) for i, s in enumerate(shards)]
+    )
 
 
 def append_metrics(ckpt_dir: str, rows: list[dict]) -> None:

@@ -33,7 +33,10 @@ enqueue/take semantics, :606-664):
     record_fetched(urls): in_flight -> seen
     finish_round(round_no): what is still in_flight -> errored (or a
                           retry slot); the round's order part is
-                          emitted; the stats carry the shard's counts
+                          emitted; the stats carry the shard's counts.
+                          With an ``attempt`` (a graceful stop) the
+                          selected URLs still in_flight stay there as
+                          the stash the resumed round re-takes
 
 So the driver meets each shard twice per round: take and
 finish_round, which also writes the shard's checkpoint file when the
@@ -46,8 +49,9 @@ shard-side counters.
 A shard is built from the crawl's ``CrawlConfig`` (its
 ``priority_scores`` cut to this shard's slice) and reads every budget,
 limit, priority and retry setting from it. ``dump()`` / ``load()`` are
-the shard's table set; ``checkpoint(path)`` / ``restore(path)`` write
-and read it as one file (the format lives in state/checkpoint.py).
+the shard's table set; ``finish_round(..., ckpt_path)`` writes it as
+one file and ``restore(path)`` reads it back (the format lives in
+state/checkpoint.py).
 
 Memory modes:
   * ``exact``  — Python sets of URL strings (test scale; the semantics
@@ -855,49 +859,76 @@ class FrontierShard:
         round_no: int,
         order_dir: str | None = None,
         ckpt_path: str | None = None,
+        attempt: int | None = None,
     ):
         """End-of-round, shard-side: quarantine still-in-flight URLs as
         errored (the reference's 404 path), emit THIS shard's slice
         of the crawl order — the selection minus the failed rows — and,
         given ``ckpt_path``, write the shard's checkpoint file there
-        (stats["checkpoint"]: its row counts, see :meth:`checkpoint`).
-        Called with num_returns=2: the driver ray.gets only the small
-        stats dict, which carries this shard's ``counts()`` as the
-        round's deliveries left them, taken before anything is
-        quarantined (the driver's admitted total; quarantine moves
-        nothing out of pending, so they are also the round's pending
-        lag); the order part is a ref or a parquet file (see
-        _order_part). Replaces the driver-side ``order_parts.append``
-        accumulation (VERDICT r2 'What's wrong' #2).
+        (stats["checkpoint"]: the file's row counts, see
+        write_shard_state). Called with num_returns=2: the driver
+        ray.gets only the small stats dict, which carries this shard's
+        ``counts()`` as the round's deliveries left them, taken before
+        anything is quarantined (the driver's admitted total;
+        quarantine moves nothing out of pending, so they are also the
+        round's pending lag); the order part is a ref or a parquet file
+        (see _order_part). Replaces the driver-side
+        ``order_parts.append`` accumulation (VERDICT r2 'What's wrong'
+        #2).
 
         With ``cfg.max_retries > 0`` a failed fetch is TRANSIENT until
         its failure count exceeds the cap: failure #f re-schedules the
         URL for round ``round_no + cfg.backoff_base**f`` (exponential
         backoff, state colocated in this shard); only failure
         #(max_retries+1) quarantines. Retried URLs are excluded from
-        this round's order part exactly like quarantined ones."""
+        this round's order part exactly like quarantined ones.
+
+        Given an ``attempt``, the round was cut by a graceful stop (the
+        reference's SIGINT path, goldie_playwright_parallel.py:871-901:
+        keep what landed, hand the rest back) and nothing is
+        quarantined. The selected URLs whose record_fetched arrived
+        form the order part ``shard-iiii.aNN.parquet`` (the attempt
+        suffix keeps successive stop/resume cycles of a round from
+        overwriting each other; the lazy order reader globs both
+        spellings). The ones still in_flight (task cancelled or its
+        delivery never landed) become the stash the resumed round
+        re-takes, dumped as ``resume_sel``. They stay in_flight, so
+        enqueue dedup still knows them, rather than going back to
+        pending: pending may already hold next-depth candidates
+        admitted by the round's completed tasks, and a pending-wide
+        re-take would mix depths and diverge from the uninterrupted
+        schedule. Politeness tokens stay spent (the fetch is deferred,
+        not cancelled). The stats add ``fetched`` and ``deferred``."""
         counts = self.counts()
-        max_retries = self.cfg.max_retries
         urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
-        failed = sorted(self.in_flight)
-        errored = []
-        if max_retries > 0 and failed:
-            selmap = {u: (d, h) for u, d, h in zip(urls, depths, hosts)}
-            for url in failed:
-                f = self.retry_fails.pop(url, 0) + 1
-                if f <= max_retries and url in selmap:
-                    d, h = selmap[url]
-                    self.retrying[url] = (
-                        d, h, f, round_no + self.cfg.backoff_base**f
-                    )
-                else:
-                    self.errored[url] = "not_found"
-                    errored.append(url)
+        errored, retried = [], 0
+        if attempt is not None:
+            stash = [i for i, u in enumerate(urls) if u in self.in_flight]
+            self._resume_sel = tuple(
+                [col[i] for i in stash] for col in (urls, depths, hosts)
+            )
+            failed = self._resume_sel[0]
         else:
-            errored = failed
-            for url in errored:
-                self.errored[url] = "not_found"
-        self.in_flight.clear()
+            max_retries = self.cfg.max_retries
+            failed = sorted(self.in_flight)
+            if max_retries > 0 and failed:
+                selmap = {u: (d, h) for u, d, h in zip(urls, depths, hosts)}
+                for url in failed:
+                    f = self.retry_fails.pop(url, 0) + 1
+                    if f <= max_retries and url in selmap:
+                        d, h = selmap[url]
+                        self.retrying[url] = (
+                            d, h, f, round_no + self.cfg.backoff_base**f
+                        )
+                    else:
+                        self.errored[url] = "not_found"
+                        errored.append(url)
+            else:
+                errored = failed
+                for url in errored:
+                    self.errored[url] = "not_found"
+            retried = len(failed) - len(errored)
+            self.in_flight.clear()
         if failed:
             bad = set(failed)
             keep = [(u, d) for u, d in zip(urls, depths) if u not in bad]
@@ -909,69 +940,16 @@ class FrontierShard:
         stats = {
             "errored": len(errored),
             "ok": len(urls),
-            "retried": len(failed) - len(errored),
+            "retried": retried,
             "counts": counts,
         }
+        if attempt is not None:
+            stats.update(fetched=len(urls), deferred=len(failed))
         if ckpt_path is not None:
-            stats["checkpoint"] = self.checkpoint(ckpt_path)
-        name = f"shard-{self.shard_id:04d}.parquet"
+            stats["checkpoint"] = write_shard_state(ckpt_path, self.dump())
+        tag = "" if attempt is None else f".a{attempt:02d}"
+        name = f"shard-{self.shard_id:04d}{tag}.parquet"
         return stats, self._order_part(round_no, urls, depths, order_dir, name)
-
-    def salvage_round_part(
-        self, round_no: int, order_dir: str | None = None, attempt: int = 0
-    ):
-        """Mid-round graceful-shutdown salvage (reference SIGINT path,
-        goldie_playwright_parallel.py:871-901): keep what landed, hand
-        the rest back. The selection splits into (a) URLs whose
-        record_fetched already arrived (left in_flight -> in seen) —
-        they become this shard's PARTIAL order part for the round —
-        and (b) URLs still in_flight (their task was cancelled or its
-        delivery never landed) — STASHED as the exact remainder the
-        resumed round must re-take. They deliberately stay in_flight
-        (enqueue dedup keeps treating them as known) rather than going
-        back to pending: pending may already hold next-depth
-        candidates admitted by the round's COMPLETED tasks, and a
-        pending-wide re-take would mix depths and diverge from the
-        uninterrupted schedule. Politeness tokens stay spent (the
-        fetch is deferred, not cancelled). Order parts carry an
-        attempt suffix (shard-i.aK.parquet) so successive kill/resume
-        cycles of the same round never overwrite each other; the lazy
-        order reader globs both spellings."""
-        urls, depths, hosts = self._sel if self._sel is not None else ([], [], [])
-        fetched, unfetched = [], []
-        for u, d, h in zip(urls, depths, hosts):
-            (unfetched if u in self.in_flight else fetched).append((u, d, h))
-        self._resume_sel = (
-            [u for u, _, _ in unfetched],
-            [d for _, d, _ in unfetched],
-            [h for _, _, h in unfetched],
-        )
-        self._sel = None
-        self._sel_keys = None
-        self._sel_part = None
-        stats = {
-            "fetched": len(fetched),
-            "deferred": len(unfetched),
-            "counts": self.counts(),
-        }
-        name = f"shard-{self.shard_id:04d}.a{attempt:02d}.parquet"
-        return stats, self._order_part(
-            round_no,
-            [u for u, _, _ in fetched],
-            [d for _, d, _ in fetched],
-            order_dir,
-            name,
-        )
-
-    def clear_resume_sel(self) -> None:
-        """Drop the salvage stash. Called by run_frontier when a
-        graceful stop lands AFTER every task's deliveries arrived
-        (total deferred == 0): the round actually completed, the
-        checkpoint is written as a normal complete round, and a stale
-        empty stash must not make the NEXT round's take return 0 (an
-        empty resume_sel is an intentional "re-take nothing" marker
-        for partial-round resume — see load())."""
-        self._resume_sel = None
 
     def expire(self, urls: list[str]) -> int:
         """TTL recrawl primitive: forget that these URLs were seen so a
@@ -1004,22 +982,22 @@ class FrontierShard:
             "retrying": len(self.retrying),
         }
 
-    def checkpoint(self, path: str) -> dict:
-        """Write this shard's ``dump()`` as its one checkpoint file;
-        returns the file's seen/pending/errored row counts. The salvage
-        paths call it directly; a normal round writes through
-        finish_round."""
-        return write_shard_state(path, self.dump())
-
-    def restore(self, path: str) -> None:
-        """``load`` this shard's checkpoint file (load_checkpoint)."""
-        self.load(read_shard_state(path))
+    def restore(self, path: str, partial: bool = False) -> None:
+        """``load`` this shard's checkpoint file (load_checkpoint). A
+        complete round's file may hold an empty ``resume_sel`` (a stop
+        that landed after every delivery); only a ``partial`` round's
+        stash is restored."""
+        tables = read_shard_state(path)
+        if not partial:
+            tables.pop("resume_sel", None)
+        self.load(tables)
 
     def dump(self) -> dict[str, pa.Table]:
         """The shard's checkpoint tables, keyed by table name:
         seen, pending, errored and host_tokens always; retries,
         backlinks and cash only when non-empty; resume_sel only after a
-        salvage (an EMPTY resume_sel is meaningful — see load)."""
+        stopped round's finish_round (an EMPTY resume_sel is meaningful
+        — see load)."""
         d = {
             "seen": pa.table({"url": pa.array(sorted(self.seen), pa.string())}),
             "pending": pa.table(
@@ -1114,7 +1092,7 @@ class FrontierShard:
         # next-depth candidates admitted by the round's completed tasks
         # and diverge from the uninterrupted (round, depth, url)
         # schedule (ADVICE r3, high). Only an ABSENT table means
-        # "no salvage".
+        # "no salvage" (restore drops it from a complete round's file).
         if tables.get("resume_sel") is not None:
             self._resume_sel = tuple(cols("resume_sel", "url", "depth", "host"))
             self.in_flight = set(self._resume_sel[0])

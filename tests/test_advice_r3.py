@@ -34,7 +34,7 @@ def _mk_shard(ray):
 
 
 def test_empty_resume_sel_means_retake_nothing(ray_session):
-    """ADVICE #1 (high): salvage with zero deferred -> dump writes an
+    """ADVICE #1 (high): a stopped round with zero deferred -> dump writes an
     empty resume_sel -> a reloaded shard's next take returns count 0,
     NOT a fresh selection over pending (pending already holds the
     next-depth candidates the completed tasks admitted)."""
@@ -54,11 +54,17 @@ def test_empty_resume_sel_means_retake_nothing(ray_session):
     ray.get(
         s.enqueue.remote(pa.array(["http://h/c"]), pa.array([4]), pa.array(["h"]))
     )
+    # the round is stopped: finish_round under attempt 0 stashes the
+    # selected URLs still in flight (none) instead of quarantining them
     stats, _part = ray.get(
-        s.salvage_round_part.options(num_returns=2).remote(7, None, 0)
+        s.finish_round.options(num_returns=2).remote(7, None, None, 0)
     )
     counts = stats.pop("counts")  # the shard's counts ride the stats
-    assert stats == {"fetched": 2, "deferred": 0}
+    assert {k: stats[k] for k in ("fetched", "deferred")} == {
+        "fetched": 2,
+        "deferred": 0,
+    }
+    assert stats["errored"] == stats["retried"] == 0
     assert counts == ray.get(s.counts.remote())
     assert counts["pending"] == 1 and counts["in_flight"] == 0
     d = ray.get(s.dump.remote())

@@ -112,15 +112,19 @@ def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     gives back equal tables for a shard holding every kind of state,
     and each shard's file holds exactly its dump's tables: the four
     always-present ones, plus retries / backlinks / cash only when
-    non-empty and resume_sel only after a salvage."""
+    non-empty and resume_sel only after a stopped round's
+    finish_round."""
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
     from louis_crawler_legacy_ray.pipelines.crawl import CrawlConfig
     from louis_crawler_legacy_ray.state.checkpoint import (
+        begin_round,
         load_checkpoint,
+        shard_file,
         write_checkpoint,
+        write_shard_state,
     )
     from louis_crawler_legacy_ray.state.seen import FrontierShard
 
@@ -160,10 +164,11 @@ def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     assert ray.get(full.take.remote(1))[0]["count"] == 1
     ray.get(full.finish_round.options(num_returns=2).remote(1))
     # round 2: a2 and b1 back in flight (a3 still waiting); b1 lands,
-    # then a salvage stashes a2 as the round's unfetched remainder
+    # then a graceful stop's finish_round stashes a2 as the round's
+    # unfetched remainder
     assert ray.get(full.take.remote(2))[0]["count"] == 2
     fetched(full, [b1])
-    ray.get(full.salvage_round_part.options(num_returns=2).remote(2))
+    ray.get(full.finish_round.options(num_returns=2).remote(2, None, None, 0))
     enqueue(full, ["http://d.ca/1"])  # pending
     empty = FrontierShard.remote(1, cfg)
 
@@ -178,7 +183,11 @@ def test_shard_tables_round_trip_through_checkpoint(ray_session, tmp_path):
     assert want[0]["cash"].num_rows
 
     ck = str(tmp_path / "ckpt")
-    rdir = write_checkpoint(ck, 2, [full, empty], "h", {}, partial_attempt=0)
+    tmp = begin_round(ck, 2)
+    counts = [write_shard_state(shard_file(tmp, i), w) for i, w in enumerate(want)]
+    rdir = write_checkpoint(
+        ck, 2, [full, empty], "h", {}, partial_attempt=0, shard_counts=counts
+    )
     base = {"seen", "pending", "errored", "host_tokens"}
     for i, extra in enumerate(({"retries", "cash", "resume_sel"}, set())):
         names = pq.read_schema(os.path.join(rdir, f"shard={i:04d}.parquet")).names

@@ -420,10 +420,14 @@ def test_retry_fails_survive_salvage_dump_load(ray_session):
     # mid-round before any fetch landed
     assert _ray.get(s1.take.remote(3))[0]["count"] == 1
     stats, _part = _ray.get(
-        s1.salvage_round_part.options(num_returns=2).remote(3, None, 1)
+        s1.finish_round.options(num_returns=2).remote(3, None, None, 1)
     )
     counts = stats.pop("counts")  # the shard's counts ride the stats
-    assert stats == {"fetched": 0, "deferred": 1}
+    assert {k: stats[k] for k in ("fetched", "deferred")} == {
+        "fetched": 0,
+        "deferred": 1,
+    }
+    assert stats["errored"] == stats["retried"] == 0
     assert counts["in_flight"] == 1  # the deferred URL stays known
     d = _ray.get(s1.dump.remote())
     rt = d["retries"].to_pydict()

@@ -1,11 +1,11 @@
 """The round boundary: ``take`` and ``finish_round`` hand the driver the
 selection and the shard counts in the call that made them, and shards
 write their own checkpoint files inside ``finish_round``, so a round
-costs two waves (take, finish_round). Pins the wave count, the one
-round path every expand stage (pages corpus, fetcher, edge table)
-takes, the ``round_limit`` truncation over a bucketed corpus (where
-``truncate_selection`` cuts the part take built instead of building
-another),
+costs two waves (take, finish_round), a round a graceful stop cuts
+included. Pins the wave count, the one round path every expand stage
+(pages corpus, fetcher, edge table) takes, the ``round_limit``
+truncation over a bucketed corpus (where ``truncate_selection`` cuts
+the part take built instead of building another),
 ``new_candidates`` leaving out URLs quarantined at admission, and a
 page html.parser or urllib.parse rejects taking the failed-fetch
 path."""
@@ -17,6 +17,7 @@ import pytest
 import ray
 
 from louis_crawler_legacy_ray.functions.html_kernels import extract_page
+from louis_crawler_legacy_ray.pipelines import crawl as crawl_mod
 from louis_crawler_legacy_ray.pipelines.crawl import (
     CrawlConfig,
     Frontier,
@@ -33,7 +34,10 @@ from louis_crawler_legacy_ray.sources.pages import (
     write_pages_parquet,
 )
 from louis_crawler_legacy_ray.stages.fetch import DictFetcher
-from louis_crawler_legacy_ray.state.checkpoint import latest_complete_round
+from louis_crawler_legacy_ray.state.checkpoint import (
+    latest_complete_round,
+    partial_round,
+)
 from louis_crawler_legacy_ray.state.seen import FrontierShard
 
 
@@ -141,6 +145,68 @@ def test_shard_waves_per_round(ray_session, corpora, tmp_path, monkeypatch):
     assert n_calls("counts", "counts") == n
     # pending_lag and retry checks read the counts the calls returned
     assert res.metrics[-1]["pending_lag"] == res.counts["pending"] == 0
+
+
+@pytest.mark.parametrize("stop", ["after_deliveries", "mid_round"])
+def test_stopped_round_is_one_finish_round_wave(
+    ray_session, corpora, tmp_path, monkeypatch, stop
+):
+    """A round a graceful stop cuts ends like any other: after its
+    expand the driver makes one finish_round wave (the shards stash
+    what did not land under the round's attempt and write their
+    checkpoint files) and no shard call but the final ``counts``.
+    Stopped after every delivery, the round commits complete and its
+    row counts the fetches that landed on the shards; stopped as it
+    starts, with its tasks still sleeping, it commits a ``.partial``
+    with URLs deferred."""
+    flat, _bucketed, seed = corpora
+    n = 3
+    cfg = CrawlConfig(
+        n_shards=n,
+        max_depth=3,
+        checkpoint_dir=str(tmp_path / "ck"),
+        task_delay_ms=200 if stop == "mid_round" else 0,
+    )
+    expand = pages_expand(flat, cfg, None, 0)
+    marks = []
+
+    def stopping(sel, round_no, frontier, part_tag=""):
+        if round_no == 1 and stop == "mid_round":
+            crawl_mod.request_graceful_stop()
+        stats = expand(sel, round_no, frontier, part_tag=part_tag)
+        if round_no == 1:
+            if stop == "after_deliveries":
+                crawl_mod.request_graceful_stop()
+                # as for a task cancelled after its sends landed: the
+                # round's fetches reach the shards, the task's count not
+                stats.update(interrupted=True, fetched=0)
+            marks.append(len(calls))
+        return stats
+
+    stopping.n_buckets = getattr(expand, "n_buckets", None)
+    calls = _count_shard_calls(monkeypatch)
+    try:
+        res = run_frontier(stopping, [seed], cfg)
+    finally:
+        monkeypatch.undo()
+        crawl_mod.clear_graceful_stop()
+
+    assert [m["round"] for m in res.metrics] == [0, 1]
+    assert sorted(m for m, _c in calls[marks[0]:]) == (
+        ["counts"] * n + ["finish_round"] * n
+    )
+    ck = cfg.checkpoint_dir
+    if stop == "mid_round":
+        assert res.metrics[-1]["deferred"] > 0
+        assert partial_round(ck)[0] == 1
+        assert latest_complete_round(ck) == 0
+    else:
+        assert "deferred" not in res.metrics[-1]
+        assert partial_round(ck) is None
+        assert latest_complete_round(ck) == 1
+        # nothing deferred: every selected URL landed, and the row
+        # counts the shards' fetches
+        assert res.metrics[-1]["fetched"] == res.metrics[-1]["selected"] > 0
 
 
 def _expand_for(kind: str, flat: str, cfg: CrawlConfig):
